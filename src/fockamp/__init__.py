@@ -30,7 +30,6 @@ from .fock import (
 from .channels import (
     CommutatorCheck,
     IdealMapRecord,
-    ShiftOperator,
     caves_number_out,
     check_pegg_barnett,
     commutator,
@@ -41,9 +40,7 @@ from .channels import (
 )
 from .noise import (
     Mechanism,
-    SnrCurve,
     snr,
-    snr_curve,
     var_caves,
     var_g_modes,
     var_multistep_multi,
@@ -52,16 +49,12 @@ from .noise import (
     var_single_mode,
 )
 from .montecarlo import (
-    CounterStream,
     ReservoirSpec,
     SampleStats,
     ScenarioSpec,
     analytic_variance,
     reservoir_draws,
-    run_multiplexed,
     run_scenario,
-    run_shelving,
-    sample_reservoir,
 )
 from .filters import (
     HBAR_OVER_K,

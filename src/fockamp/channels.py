@@ -8,15 +8,14 @@ provides the commutator checks that certify each of them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import FockSpace, OperatorMatrix, annihilation, creation, identity, tensor
+from .noise import _check_integer_gain, _check_real_gain
 
 __all__ = [
-    "ShiftOperator",
     "shift_operator",
     "nonlinear_bout",
     "commutator",
@@ -31,52 +30,15 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-def _integer_gain(gain) -> int:
-    if isinstance(gain, bool) or not isinstance(gain, numbers.Real):
-        raise ValueError(f"gain must be a number, got {gain!r}")
-    g = float(gain)
-    if g != int(g):
-        raise ValueError(f"this scheme requires an integer gain, got {gain}")
-    g = int(g)
-    if g < 1:
-        raise ValueError(f"gain must be >= 1, got {gain}")
-    return g
-
-
-def _real_gain(gain) -> float:
-    g = float(gain)
-    if g < 1.0:
-        raise ValueError(f"gain must be >= 1, got {gain}")
-    return g
-
-
-@dataclass(frozen=True)
-class ShiftOperator:
-    """Cyclic lowering operator: S|N> = e^{i phase}|N-1> for N > 0, S|0> = |s>."""
-
-    space: FockSpace
-    phase: float
-    mat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
-        mat = np.array(self.mat, dtype=complex)
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
-
-    def as_operator(self) -> OperatorMatrix:
-        return OperatorMatrix((self.space,), self.mat)
-
-
-def shift_operator(space: FockSpace, phase: float = 0.0) -> ShiftOperator:
-    """Unitary shift with <N-1|S|N> = e^{i phase} and wraparound <s|S|0> = 1."""
+def shift_operator(space: FockSpace, phase: float = 0.0) -> OperatorMatrix:
+    """Cyclic lowering operator: <N-1|S|N> = e^{i phase} for N > 0, wraparound <s|S|0> = 1."""
     dim = space.dim
     mat = np.zeros((dim, dim), dtype=complex)
     z = np.exp(1j * phase)
     for n in range(1, dim):
         mat[n - 1, n] = z
     mat[dim - 1, 0] = 1.0
-    return ShiftOperator(space, phase, mat)
+    return OperatorMatrix((space,), mat)
 
 
 def nonlinear_bout(
@@ -89,11 +51,11 @@ def nonlinear_bout(
     involved.  The gain must be an integer: the scheme transfers G excitations
     per input photon between number states.
     """
-    g = _integer_gain(gain)
+    g = _check_integer_gain(gain)
     n_b = np.arange(space_b.dim)
     n_a = np.arange(space_a.dim)
     diag = (n_b[:, None] + g * n_a[None, :]).reshape(-1).astype(float)
-    s_full = tensor(shift_operator(space_b, phase).as_operator(), identity(space_a))
+    s_full = tensor(shift_operator(space_b, phase), identity(space_a))
     return OperatorMatrix((space_b, space_a), s_full.mat * np.sqrt(diag)[None, :])
 
 
@@ -138,7 +100,7 @@ def caves_number_out(space_a: FockSpace, space_b: FockSpace, gain: float) -> Ope
     a_out = sqrt(G) a x 1 + sqrt(G-1) 1 x b_dag on the (a, b) product space;
     returns a_out^dag a_out.  The gain may be any real >= 1.
     """
-    g = _real_gain(gain)
+    g = _check_real_gain(gain)
     a_out = math.sqrt(g) * tensor(annihilation(space_a), identity(space_b)) + math.sqrt(
         g - 1.0
     ) * tensor(identity(space_a), creation(space_b))
@@ -150,7 +112,7 @@ def phase_sensitive_number_out(space_a: FockSpace, gain: float) -> OperatorMatri
 
     a_out = sqrt(G) a + sqrt(G-1) a_dag on a single mode; returns a_out^dag a_out.
     """
-    g = _real_gain(gain)
+    g = _check_real_gain(gain)
     a_out = math.sqrt(g) * annihilation(space_a) + math.sqrt(g - 1.0) * creation(space_a)
     return a_out.dagger() @ a_out
 
@@ -178,7 +140,7 @@ def ideal_schrodinger_map(
     Requires M >= G n: the G n excitations delivered to the monitored reservoir
     are drawn from the supply reservoir, so it must hold at least that many.
     """
-    g = _integer_gain(gain)
+    g = _check_integer_gain(gain)
     for name, value in (("n", n), ("M", M), ("N", N)):
         if not isinstance(value, (int, np.integer)) or value < 0:
             raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")

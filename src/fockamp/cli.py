@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import filters, noise
 from .fock import FockSpace, NumberStats, fock_state
-from .montecarlo import ReservoirSpec, ScenarioSpec, analytic_variance, run_scenario
+from .montecarlo import ReservoirSpec, ScenarioSpec, _power_sums, _stats_from_power_sums, analytic_variance, run_scenario
 from .verify import VerifyConfig, run_checks
 
 __all__ = ["main", "cmd_verify", "cmd_snr_table", "cmd_mc", "cmd_filter_scan", "cmd_shelving_demo"]
@@ -103,14 +103,14 @@ def cmd_verify(args) -> int:
         {"cutoff": "cutoff", "gain": "gain", "seed": "seed", "fixed_phase": "fixed_phase"},
     )
     _log_config("verify", resolved)
-    results = run_checks(
-        VerifyConfig(
-            cutoff=resolved["cutoff"],
-            gain=resolved["gain"],
-            seed=int(resolved["seed"]),
-            fixed_phase=resolved["fixed_phase"],
+    try:
+        gain = None if resolved["gain"] is None else noise._check_real_gain(resolved["gain"])
+        cfg = VerifyConfig(
+            cutoff=resolved["cutoff"], gain=gain, seed=int(resolved["seed"]), fixed_phase=resolved["fixed_phase"]
         )
-    )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid verify config: {exc}")
+    results = run_checks(cfg)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -146,22 +146,24 @@ def cmd_snr_table(args) -> int:
         {"out": "out"},
     )
     _log_config("snr-table", resolved)
+    try:
+        n_a, dn_b = int(resolved["n_a"]), float(resolved["dn_b"])
+        families = [(entry["tag"], entry.get("g")) for entry in resolved["mechanisms"]]
+        grid = list(resolved["grid"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid snr-table config ({type(exc).__name__}: {exc})")
     rows = []
     skipped = 0
-    for entry in resolved["mechanisms"]:
-        tag = entry["tag"]
-        step_g = entry.get("g")
-        for grid_g in resolved["grid"]:
+    for tag, step_g in families:
+        for grid_g in grid:
             try:
                 mech = noise.mechanism_for(tag, grid_g, step_g)
-                value = noise.snr(mech, int(resolved["n_a"]), float(resolved["dn_b"]))
+                value = noise.snr(mech, n_a, dn_b)
             except ValueError as exc:
                 skipped += 1
                 print(f"warning: skipping {tag} at G = {grid_g}: {exc}", file=sys.stderr)
                 continue
-            rows.append(
-                [tag, mech.gain_G, mech.step_gain_g, mech.steps_N, int(resolved["n_a"]), float(resolved["dn_b"]), value]
-            )
+            rows.append([tag, mech.gain_G, mech.step_gain_g, mech.steps_N, n_a, dn_b, value])
     path = _write_csv(_out_path(resolved, "snr_table.csv"), ["mechanism", "G", "g", "N", "n_a", "dn_b", "snr"], rows)
     print(f"wrote {len(rows)} rows to {path} ({skipped} grid points skipped)")
     return EXIT_OK
@@ -215,7 +217,10 @@ def cmd_mc(args) -> int:
     )
     _log_config("mc", resolved)
     # validate every scenario before any sampling happens
-    specs = [_scenario_from_config(c, int(resolved["trials"]), int(resolved["seed"])) for c in resolved["scenarios"]]
+    try:
+        specs = [_scenario_from_config(c, int(resolved["trials"]), int(resolved["seed"])) for c in resolved["scenarios"]]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid mc config: {exc}")
     rows = []
     for spec in specs:
         stats = run_scenario(spec)
@@ -269,29 +274,29 @@ def cmd_filter_scan(args) -> int:
         {"out": "out"},
     )
     _log_config("filter-scan", resolved)
-    env = filters.ThermalEnv(float(resolved["temperature"]))
-    nbar_amp = filters.thermal_occupancy(float(resolved["omega_amp"]), env)
-    b_env = NumberStats(nbar_amp, nbar_amp * (nbar_amp + 1.0))
-    gain = int(resolved["gain"])
-    n_a = int(resolved["n_a"])
-    space_a = FockSpace(max(n_a, 1))
-    space_c = FockSpace(int(resolved["cutoff_c"]))
-    rho_a = fock_state(space_a, n_a)
-    rho_c = fock_state(space_c, 0)
+    try:
+        env = filters.ThermalEnv(float(resolved["temperature"]))
+        nbar_amp = filters.thermal_occupancy(float(resolved["omega_amp"]), env)
+        b_env = NumberStats(nbar_amp, nbar_amp * (nbar_amp + 1.0))
+        gain = noise._check_integer_gain(resolved["gain"])
+        n_a = int(resolved["n_a"])
+        space_a = FockSpace(max(n_a, 1))
+        space_c = FockSpace(int(resolved["cutoff_c"]))
+        rho_a = fock_state(space_a, n_a)
+        rho_c = fock_state(space_c, 0)
 
-    if resolved["table"]:
-        try:
+        if resolved["table"]:
             pairs = filters.read_transfer_table(resolved["table"])
-        except ValueError as exc:
-            raise ConfigError(f"filter table rejected: {exc}")
-    else:
-        count = int(resolved["points"])
-        lo, hi = float(resolved["omega_min"]), float(resolved["omega_max"])
-        step = (hi - lo) / (count - 1) if count > 1 else 0.0
-        pairs = [
-            filters.lorentzian_transfer(lo + k * step, float(resolved["omega0"]), float(resolved["gamma"]))
-            for k in range(count)
-        ]
+        else:
+            count = int(resolved["points"])
+            lo, hi = float(resolved["omega_min"]), float(resolved["omega_max"])
+            step = (hi - lo) / (count - 1) if count > 1 else 0.0
+            pairs = [
+                filters.lorentzian_transfer(lo + k * step, float(resolved["omega0"]), float(resolved["gamma"]))
+                for k in range(count)
+            ]
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid filter-scan config: {exc}")
 
     rows = []
     for tp in pairs:
@@ -315,33 +320,33 @@ def cmd_shelving_demo(args) -> int:
         {"trials": "trials", "seed": "seed", "out": "out", "gain": "gain"},
     )
     _log_config("shelving-demo", resolved)
-    gain = int(resolved["gain"])
-    n_a = int(resolved["n_a"])
-    reservoir = ReservoirSpec.thermal(float(resolved["nbar"]))
+    try:
+        gain = noise._check_integer_gain(resolved["gain"])
+        n_a = int(resolved["n_a"])
+        reservoir = ReservoirSpec.thermal(float(resolved["nbar"]))
+        specs = [
+            ScenarioSpec(
+                model="Shelving",
+                input_n_a=n_a,
+                reservoir=reservoir,
+                trials=int(resolved["trials"]),
+                seed=int(resolved["seed"]),
+                gain_G=gain,
+                cavity_mode_count=modes,
+            )
+            for modes in range(gain, 0, -1)
+        ]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid shelving-demo config: {exc}")
     dn_b = math.sqrt(reservoir.stats.variance)
     rows = []
-    for modes in range(gain, 0, -1):
-        spec = ScenarioSpec(
-            model="Shelving",
-            input_n_a=n_a,
-            reservoir=reservoir,
-            trials=int(resolved["trials"]),
-            seed=int(resolved["seed"]),
-            gain_G=gain,
-            cavity_mode_count=modes,
-        )
-        background = ScenarioSpec(
-            model="Shelving",
-            input_n_a=0,
-            reservoir=reservoir,
-            trials=int(resolved["trials"]),
-            seed=int(resolved["seed"]),
-            gain_G=gain,
-            cavity_mode_count=modes,
-        )
-        stats = run_scenario(spec)
-        base = run_scenario(background)
-        snr_mc = (stats.mean - base.mean) / math.sqrt(stats.variance) if stats.variance > 0 else math.inf
+    for spec in specs:
+        modes = spec.cavity_mode_count
+        s1, s2, s3, s4 = _power_sums(spec, 0)
+        stats = _stats_from_power_sums(spec.trials, s1, s2, s3, s4)
+        # an n_a = 0 run would reuse these draws, so its sum is exactly s1 - trials * G * n_a
+        background_mean = (s1 - spec.trials * gain * n_a) / spec.trials
+        snr_mc = (stats.mean - background_mean) / math.sqrt(stats.variance) if stats.variance > 0 else math.inf
         snr_analytic = gain * n_a / math.sqrt(modes * reservoir.stats.variance) if dn_b > 0 else math.inf
         rows.append(
             [modes, gain, n_a, reservoir.label, spec.trials, spec.seed, stats.mean, stats.variance, snr_mc, snr_analytic]

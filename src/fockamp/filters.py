@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .fock import DiagonalState, FockSpace, NumberStats, OperatorMatrix, annihilation, identity, moments, tensor
+from .noise import _check_integer_gain
 
 __all__ = [
     "HBAR_OVER_K",
@@ -108,8 +107,7 @@ def filtered_amplified_stats(
     amplified by integer G into a reservoir with the given occupation
     statistics: mean = nbar_b + G*mean_f, variance = var_b + G^2*var_f.
     """
-    if not isinstance(gain, (int, np.integer)) or gain < 1:
-        raise ValueError(f"gain must be an integer >= 1, got {gain!r}")
+    gain = _check_integer_gain(gain)
     filtered = moments([a, c], filtered_output_operator(a.space, c.space, tp))
     return NumberStats(b_env.mean + gain * filtered.mean, b_env.variance + gain * gain * filtered.variance)
 

@@ -24,24 +24,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fock import NumberStats
-from .noise import (
-    steps_for,
-    var_g_modes,
-    var_multistep_multi,
-    var_multistep_single,
-    var_single_mode,
-)
 
 __all__ = [
     "ReservoirSpec",
     "ScenarioSpec",
     "SampleStats",
-    "CounterStream",
-    "sample_reservoir",
     "reservoir_draws",
     "run_scenario",
-    "run_shelving",
-    "run_multiplexed",
     "analytic_variance",
 ]
 
@@ -154,26 +143,6 @@ class ReservoirSpec:
         return np.minimum(idx, len(self.probs) - 1).astype(np.int64)
 
 
-class CounterStream:
-    """One-at-a-time view of the counter-based generator, for single draws."""
-
-    def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
-        self._k = 0
-
-    def uniform(self) -> float:
-        u = float(_uniforms(self.seed, self._k, self.stream, 1)[0])
-        self._k += 1
-        return u
-
-
-def sample_reservoir(spec: ReservoirSpec, stream: CounterStream) -> int:
-    """One occupation-number draw from the reservoir law."""
-    u = np.array([stream.uniform()])
-    return int(spec._draw_block(u)[0])
-
-
 def reservoir_draws(spec: ReservoirSpec, count: int, seed: int, draw_index: int = 0) -> np.ndarray:
     """Vectorized draws for trials 0..count-1 of one draw slot."""
     return spec._draw_block(_uniforms(seed, draw_index, 0, count))
@@ -266,25 +235,19 @@ def _weights_and_signal(spec: ScenarioSpec) -> tuple[list[int], int]:
     if spec.model == "Multiplexed":
         return [1] * (big_g * spec.mode_budget), big_g * n_a
     # Shelving: G fluorescence quanta per absorbed photon spread over the
-    # cavity modes; each mode carries one independent reservoir draw.
+    # cavity modes; each mode carries one independent reservoir draw, so one
+    # mode reproduces SingleMode and G modes reproduce GModes, bitwise.
     return [1] * spec.cavity_mode_count, big_g * n_a
 
 
 def analytic_variance(spec: ScenarioSpec) -> float:
-    """Closed-form output variance for the scenario (fixed n_a, so no input noise)."""
-    a = NumberStats(float(spec.input_n_a), 0.0)
-    b = spec.reservoir.stats
-    if spec.model == "SingleMode":
-        return var_single_mode(spec.gain_G, a, b)
-    if spec.model == "GModes":
-        return var_g_modes(spec.gain_G, a, b)
-    if spec.model == "MultiStepSingle":
-        return var_multistep_single(spec.gain_G, spec.step_gain_g, a, b)
-    if spec.model == "MultiStepMulti":
-        return var_multistep_multi(spec.gain_G, spec.step_gain_g, a, b)
-    if spec.model == "Multiplexed":
-        return spec.gain_G * spec.mode_budget * b.variance
-    return spec.cavity_mode_count * b.variance  # Shelving
+    """Closed-form output variance at fixed n_a: sum(w^2) * var_b.
+
+    Each independent reservoir draw enters with its integer weight w.  The
+    per-mechanism formulas in ``noise`` are the independent check on this sum.
+    """
+    weights, _ = _weights_and_signal(spec)
+    return sum(w * w for w in weights) * spec.reservoir.stats.variance
 
 
 def _power_sums(spec: ScenarioSpec, trial_offset: int) -> tuple[int, int, int, int]:
@@ -342,34 +305,3 @@ def run_scenario(spec: ScenarioSpec, trial_offset: int = 0) -> SampleStats:
     """
     return _stats_from_power_sums(spec.trials, *_power_sums(spec, trial_offset))
 
-
-def run_shelving(spec: ScenarioSpec, trial_offset: int = 0) -> SampleStats:
-    """Fluorescence readout with a configurable number of cavity output modes.
-
-    cavity_mode_count = G reproduces the G-mode model; = 1 reproduces the
-    single-mode optimum (bitwise, given the same seed policy).
-    """
-    if spec.model != "Shelving":
-        raise ValueError(f"expected a Shelving scenario, got {spec.model!r}")
-    return run_scenario(spec, trial_offset)
-
-
-def run_multiplexed(
-    gain: int,
-    n: int,
-    reservoir: ReservoirSpec,
-    trials: int,
-    seed: int,
-    mode_budget: Optional[int] = None,
-) -> SampleStats:
-    """Photon-number multiplexing: one excitation in each of G*n out of G*budget modes."""
-    spec = ScenarioSpec(
-        model="Multiplexed",
-        input_n_a=n,
-        reservoir=reservoir,
-        trials=trials,
-        seed=seed,
-        gain_G=gain,
-        mode_budget=mode_budget,
-    )
-    return run_scenario(spec)

@@ -12,14 +12,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .fock import NumberStats
 
 __all__ = [
     "MECHANISM_TAGS",
     "Mechanism",
-    "SnrCurve",
     "var_caves",
     "var_phase_sensitive",
     "var_single_mode",
@@ -27,7 +26,6 @@ __all__ = [
     "var_multistep_single",
     "var_multistep_multi",
     "snr",
-    "snr_curve",
 ]
 
 MECHANISM_TAGS = (
@@ -43,19 +41,18 @@ _MULTISTEP = ("MultiStepSingleMode", "MultiStepMultiMode")
 
 
 def _check_real_gain(gain) -> float:
-    g = float(gain)
-    if g < 1.0:
-        raise ValueError(f"gain must be >= 1, got {gain}")
-    return g
+    """The one gain validator: a finite real >= 1 (bool, nan and inf are refused)."""
+    if isinstance(gain, bool) or not isinstance(gain, numbers.Real) or not 1.0 <= float(gain) < math.inf:
+        raise ValueError(f"gain must be a finite real number >= 1, got {gain!r}")
+    return float(gain)
 
 
 def _check_integer_gain(gain) -> int:
-    if isinstance(gain, bool) or not isinstance(gain, numbers.Real) or float(gain) != int(gain):
-        raise ValueError(f"this mechanism requires an integer gain, got {gain!r}")
-    g = int(gain)
-    if g < 1:
-        raise ValueError(f"gain must be >= 1, got {gain}")
-    return g
+    """Gain of the number-transfer schemes: a finite integer >= 1 (2.0 counts as 2)."""
+    g = _check_real_gain(gain)
+    if not g.is_integer():
+        raise ValueError(f"gain must be an integer, got {gain!r}")
+    return int(g)
 
 
 def steps_for(total_gain: int, step_gain: int) -> int:
@@ -176,10 +173,10 @@ def snr(mechanism: Mechanism, n_a: int, dn_b: float) -> float:
     when the noise denominator vanishes (zero-noise reservoir, or G = 1 for the
     linear mechanisms, where no noise is added at all).
     """
-    if n_a < 1:
-        raise ValueError(f"n_a must be >= 1, got {n_a}")
-    if dn_b < 0:
-        raise ValueError(f"dn_b must be nonnegative, got {dn_b}")
+    if not 1 <= n_a < math.inf:
+        raise ValueError(f"n_a must be finite and >= 1, got {n_a}")
+    if not 0.0 <= dn_b < math.inf:
+        raise ValueError(f"dn_b must be finite and nonnegative, got {dn_b}")
     g_tot = mechanism.gain_G
     tag = mechanism.tag
     if tag == "PhaseSensitive":
@@ -203,24 +200,6 @@ def snr(mechanism: Mechanism, n_a: int, dn_b: float) -> float:
     return math.sqrt(g_tot * (g_step - 1.0)) * n_a / (math.sqrt(g_tot - 1.0) * dn_b)
 
 
-@dataclass(frozen=True)
-class SnrCurve:
-    """SNR values of one mechanism family over a gain grid."""
-
-    tag: str
-    step_gain_g: Optional[int]
-    grid: tuple
-    values: tuple
-    n_a: int
-    dn_b: float
-
-    def __post_init__(self):
-        if len(self.grid) != len(self.values):
-            raise ValueError("grid and SNR value lists must have equal length")
-        object.__setattr__(self, "grid", tuple(self.grid))
-        object.__setattr__(self, "values", tuple(self.values))
-
-
 def mechanism_for(tag: str, gain, step_gain: Optional[int] = None) -> Mechanism:
     """Build a validated Mechanism for one grid point of a family."""
     if tag in _MULTISTEP:
@@ -228,11 +207,3 @@ def mechanism_for(tag: str, gain, step_gain: Optional[int] = None) -> Mechanism:
             raise ValueError(f"{tag} requires a per-step gain")
         return Mechanism(tag, gain, step_gain)
     return Mechanism(tag, gain)
-
-
-def snr_curve(
-    tag: str, grid: Sequence, n_a: int, dn_b: float, step_gain: Optional[int] = None
-) -> SnrCurve:
-    """Elementwise SNR over a gain grid; invalid grid points raise."""
-    values = tuple(snr(mechanism_for(tag, g, step_gain), n_a, dn_b) for g in grid)
-    return SnrCurve(tag, step_gain, tuple(grid), values, n_a, dn_b)

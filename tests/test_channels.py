@@ -51,7 +51,7 @@ class TestShiftOperator:
         assert np.max(np.abs(mat @ mat.conj().T - np.eye(s + 1))) <= 1e-12
 
     def test_phase_stored_in_principal_range(self):
-        assert abs(shift_operator(FockSpace(2), 2.0 * math.pi + 1.0).phase - 1.0) <= 1e-12
+        assert abs(shift_operator(FockSpace(2), 2.0 * math.pi + 1.0).mat[0, 1] - np.exp(1j)) <= 1e-12
 
 
 class TestNonlinearOutput:

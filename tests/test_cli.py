@@ -60,12 +60,14 @@ class TestSnrTable:
     def test_invalid_grid_point_skipped_with_warning(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
-            json.dumps({"mechanisms": [{"tag": "MultiStepMultiMode", "g": 3}], "grid": [9, 10], "n_a": 1, "dn_b": 1.0})
+            json.dumps(
+                {"mechanisms": [{"tag": "MultiStepMultiMode", "g": 3}], "grid": [9, 10, math.inf], "n_a": 1, "dn_b": 1.0}
+            )
         )
         out_csv = tmp_path / "snr.csv"
         code, _, err = run_cli(capsys, "snr-table", "--config", str(cfg), "--out", str(out_csv))
         assert code == 0
-        assert "skipping" in err and "10" in err
+        assert "skipping" in err and "10" in err and "G = inf" in err
         rows = read_rows(out_csv)
         assert len(rows) == 1 and rows[0]["G"] == "9"
 
@@ -210,9 +212,21 @@ class TestDeterminismAndConfig:
         rows = read_rows(out_csv)
         assert rows[0]["trials"] == "2000"
 
+    CONFIG_ERRORS = [
+        ("mc", "{not json", []),
+        ("snr-table", json.dumps({"mechanisms": [{"g": 2}]}), []),  # no "tag"
+        ("filter-scan", json.dumps({"temperature": -1}), []),
+        ("filter-scan", json.dumps({"gain": 2.5}), []),
+        ("shelving-demo", "{}", ["--gain", "2.7"]),
+        ("verify", "{}", ["--gain", "0.5"]),
+    ]
+
     def test_bad_config_file_is_a_config_error(self, capsys, tmp_path):
-        cfg = tmp_path / "broken.json"
-        cfg.write_text("{not json")
-        code, _, err = run_cli(capsys, "mc", "--config", str(cfg))
-        assert code == 2
-        assert "configuration error" in err
+        for k, (command, text, extra) in enumerate(self.CONFIG_ERRORS):
+            cfg = tmp_path / f"broken{k}.json"
+            cfg.write_text(text)
+            out_csv = tmp_path / f"out{k}.csv"
+            code, _, err = run_cli(capsys, command, "--config", str(cfg), *extra, "--out", str(out_csv))
+            assert code == 2, (command, text, extra)
+            assert "configuration error" in err
+            assert not out_csv.exists()

@@ -1,22 +1,24 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from fockamp import (
-    CounterStream,
     FockSpace,
+    NumberStats,
     ReservoirSpec,
     ScenarioSpec,
     analytic_variance,
     moments,
     number_op,
     reservoir_draws,
-    run_multiplexed,
     run_scenario,
-    run_shelving,
-    sample_reservoir,
     thermal_state,
+    var_g_modes,
+    var_multistep_multi,
+    var_multistep_single,
+    var_single_mode,
 )
 
 
@@ -26,13 +28,46 @@ def z_score(stats, target):
     return (stats.variance - target) / stats.std_error_of_variance
 
 
+def closed_form_variance(spec):
+    """Each model's variance from its own formula, not from the sampler's weight table."""
+    a, b = NumberStats(float(spec.input_n_a), 0.0), spec.reservoir.stats
+    if spec.model == "SingleMode":
+        return var_single_mode(spec.gain_G, a, b)
+    if spec.model == "GModes":
+        return var_g_modes(spec.gain_G, a, b)
+    if spec.model == "MultiStepSingle":
+        return var_multistep_single(spec.gain_G, spec.step_gain_g, a, b)
+    if spec.model == "MultiStepMulti":
+        return var_multistep_multi(spec.gain_G, spec.step_gain_g, a, b)
+    if spec.model == "Shelving":
+        return spec.cavity_mode_count * b.variance
+    return spec.gain_G * spec.mode_budget * b.variance  # Multiplexed
+
+
+GAIN_GRID = {
+    "SingleMode": [dict(gain_G=g) for g in (1, 2, 7, 50)],
+    "GModes": [dict(gain_G=g) for g in (1, 2, 7, 50)],
+    "MultiStepSingle": [dict(step_gain_g=g, steps_N=n) for g in (2, 3, 5) for n in (1, 2, 4)],
+    "MultiStepMulti": [dict(step_gain_g=g, steps_N=n) for g in (2, 3, 5) for n in (1, 2, 4)],
+    "Shelving": [dict(gain_G=g, cavity_mode_count=m) for g in (1, 4, 9) for m in range(1, g + 1)],
+    "Multiplexed": [dict(gain_G=g, mode_budget=b) for g in (1, 4, 9) for b in (2, 5)],
+}
+GRID_RESERVOIRS = [
+    ReservoirSpec.fock(0),
+    ReservoirSpec.fock(3),
+    ReservoirSpec.thermal(0.2),
+    ReservoirSpec.thermal(1.0),
+    ReservoirSpec.thermal(3.7),
+    ReservoirSpec.empirical([0.1, 0.2, 0.3, 0.4]),
+]
+
+
 class TestReservoirSpec:
     def test_fock_stats_and_draws(self):
         spec = ReservoirSpec.fock(3)
         assert (spec.stats.mean, spec.stats.variance) == (3.0, 0.0)
         assert np.array_equal(reservoir_draws(spec, 100, seed=1), np.full(100, 3))
-        stream = CounterStream(1)
-        assert sample_reservoir(ReservoirSpec.fock(0), stream) == 0
+        assert reservoir_draws(ReservoirSpec.fock(0), 1, seed=1)[0] == 0
 
     def test_thermal_stats(self):
         spec = ReservoirSpec.thermal(0.4)
@@ -171,14 +206,21 @@ class TestRunScenario:
             ("GModes", dict(gain_G=8)),
             ("MultiStepSingle", dict(step_gain_g=2, steps_N=3)),
             ("MultiStepMulti", dict(step_gain_g=2, steps_N=3)),
+            ("Shelving", dict(gain_G=6, cavity_mode_count=3)),
+            ("Multiplexed", dict(gain_G=4, mode_budget=2)),
         ],
     )
     def test_variance_matches_closed_form(self, model, kwargs):
+        # exact: the weight-table variance sum(w^2) * var_b is each model's closed form
+        for grid_kwargs, reservoir, n_a in itertools.product(GAIN_GRID[model], GRID_RESERVOIRS, (0, 1, 2)):
+            spec = ScenarioSpec(model=model, input_n_a=n_a, reservoir=reservoir, trials=1, seed=0, **grid_kwargs)
+            assert analytic_variance(spec) == closed_form_variance(spec), spec
+        # statistical: the sampler agrees with the closed form
         spec = ScenarioSpec(
             model=model, input_n_a=1, reservoir=ReservoirSpec.thermal(1.0), trials=150_000, seed=31, **kwargs
         )
         stats = run_scenario(spec)
-        assert abs(z_score(stats, analytic_variance(spec))) <= 4.0
+        assert abs(z_score(stats, closed_form_variance(spec))) <= 4.0
 
     @pytest.mark.parametrize(
         "model,kwargs",
@@ -234,7 +276,7 @@ class TestShelving:
         )
 
     def test_single_cavity_mode_equals_single_mode_model(self):
-        stats = run_shelving(self.base(1))
+        stats = run_scenario(self.base(1))
         reference = run_scenario(
             ScenarioSpec(
                 model="SingleMode", input_n_a=1, reservoir=ReservoirSpec.thermal(1.0), trials=120_000, seed=53, gain_G=6
@@ -243,7 +285,7 @@ class TestShelving:
         assert stats == reference  # same substreams, same combination
 
     def test_all_modes_equals_g_modes_model(self):
-        stats = run_shelving(self.base(6))
+        stats = run_scenario(self.base(6))
         reference = run_scenario(
             ScenarioSpec(
                 model="GModes", input_n_a=1, reservoir=ReservoirSpec.thermal(1.0), trials=120_000, seed=53, gain_G=6
@@ -253,50 +295,59 @@ class TestShelving:
 
     def test_intermediate_mode_count_variance(self):
         spec = self.base(3)
-        stats = run_shelving(spec)
+        stats = run_scenario(spec)
         assert abs(z_score(stats, 3 * 1.0 * 2.0)) <= 4.0  # m * nbar * (nbar + 1)
-
-    def test_requires_shelving_model(self):
-        with pytest.raises(ValueError):
-            run_shelving(
-                ScenarioSpec(
-                    model="SingleMode", input_n_a=1, reservoir=ReservoirSpec.fock(0), trials=10, seed=1, gain_G=2
-                )
-            )
 
 
 class TestMultiplexed:
+    def base(self, gain, n_a, reservoir, trials, seed, mode_budget=None):
+        return ScenarioSpec(
+            model="Multiplexed",
+            input_n_a=n_a,
+            reservoir=reservoir,
+            trials=trials,
+            seed=seed,
+            gain_G=gain,
+            mode_budget=mode_budget,
+        )
+
     def test_noiseless_reservoir_is_deterministic(self):
-        stats = run_multiplexed(5, 2, ReservoirSpec.fock(0), trials=2000, seed=61)
+        stats = run_scenario(self.base(5, 2, ReservoirSpec.fock(0), trials=2000, seed=61))
         assert stats.mean == 10.0 and stats.variance == 0.0
 
     def test_zero_photons_pure_background(self):
-        stats = run_multiplexed(4, 0, ReservoirSpec.thermal(0.5), trials=150_000, seed=67, mode_budget=3)
+        stats = run_scenario(self.base(4, 0, ReservoirSpec.thermal(0.5), trials=150_000, seed=67, mode_budget=3))
         # 12 modes of background, no signal
         se = math.sqrt(stats.variance / stats.count)
         assert abs(stats.mean - 12 * 0.5) <= 4 * se
         assert abs(z_score(stats, 12 * 0.75)) <= 4.0
 
     def test_budget_variance(self):
-        stats = run_multiplexed(4, 1, ReservoirSpec.thermal(1.0), trials=150_000, seed=71, mode_budget=2)
+        stats = run_scenario(self.base(4, 1, ReservoirSpec.thermal(1.0), trials=150_000, seed=71, mode_budget=2))
         assert abs(z_score(stats, 8 * 2.0)) <= 4.0
 
 
 class TestCounterStream:
+    """The counter-based generator, seen through reservoir_draws."""
+
     def test_uniform_range_and_determinism(self):
-        s1, s2 = CounterStream(123), CounterStream(123)
-        seq1 = [s1.uniform() for _ in range(64)]
-        seq2 = [s2.uniform() for _ in range(64)]
-        assert seq1 == seq2
-        assert all(0.0 <= u < 1.0 for u in seq1)
+        spec = ReservoirSpec.thermal(1.0)
+        first, second = reservoir_draws(spec, 4096, seed=123), reservoir_draws(spec, 4096, seed=123)
+        assert np.array_equal(first, second)
+        # uniforms in [0, 1): u < 0 would give a negative count, u = 1 an int64 wrap from -inf
+        assert first.min() >= 0
 
     def test_streams_differ(self):
-        a = [CounterStream(123, stream=0).uniform() for _ in range(8)]
-        b = [CounterStream(123, stream=1).uniform() for _ in range(8)]
-        assert a != b
+        spec = ReservoirSpec.thermal(1.0)
+        slot0 = reservoir_draws(spec, 64, seed=123, draw_index=0)
+        assert not np.array_equal(slot0, reservoir_draws(spec, 64, seed=123, draw_index=1))
+        assert not np.array_equal(slot0, reservoir_draws(spec, 64, seed=124, draw_index=0))
 
     def test_matches_batch_engine(self):
+        # trial t's draw depends only on (seed, t, slot): a short batch is a prefix of a
+        # long one, and run_scenario reads the same counters
         spec = ReservoirSpec.thermal(0.9)
-        batch = reservoir_draws(spec, 10, seed=7, draw_index=0)
-        singles = [sample_reservoir(spec, CounterStream(7, stream=t)) for t in range(10)]
-        assert np.array_equal(batch, singles)
+        draws = reservoir_draws(spec, 1000, seed=7)
+        assert np.array_equal(reservoir_draws(spec, 10, seed=7), draws[:10])
+        run = run_scenario(ScenarioSpec(model="SingleMode", input_n_a=0, reservoir=spec, trials=1000, seed=7, gain_G=1))
+        assert run.mean == int(draws.sum()) / 1000

@@ -13,7 +13,6 @@ from fockamp import (
     phase_sensitive_number_out,
     settle_cutoff,
     snr,
-    snr_curve,
     thermal_state,
     var_caves,
     var_g_modes,
@@ -141,29 +140,12 @@ class TestSnr:
             snr(Mechanism.single_mode(2), 0, 1.0)
         with pytest.raises(ValueError):
             snr(Mechanism.single_mode(2), 1, -0.1)
+        with pytest.raises(ValueError):
+            snr(Mechanism.single_mode(2), math.nan, 1.0)
 
     def test_multistep_values(self):
         assert snr(Mechanism.multistep_single(2, 2), 1, 1.0) == pytest.approx(4 * math.sqrt(3) / math.sqrt(15))
         assert snr(Mechanism.multistep_multi(2, 2), 1, 1.0) == pytest.approx(2 / math.sqrt(3))
-
-
-class TestSnrCurve:
-    def test_linear_in_gain_for_single_mode(self):
-        curve = snr_curve("SingleMode", [1, 2, 4], 2, 1.0)
-        assert curve.values == (2.0, 4.0, 8.0)
-
-    def test_phase_sensitive_curve(self):
-        curve = snr_curve("PhaseSensitive", [2, 10_000], 1, 1.0)
-        assert curve.values[0] == pytest.approx(1.5, abs=1e-15)
-        assert curve.values[1] == pytest.approx(math.sqrt(2.0), rel=1e-4)
-
-    def test_empty_grid(self):
-        curve = snr_curve("GModes", [], 1, 1.0)
-        assert curve.grid == () and curve.values == ()
-
-    def test_invalid_grid_point_raises(self):
-        with pytest.raises(ValueError):
-            snr_curve("MultiStepMultiMode", [9, 10], 1, 1.0, step_gain=3)
 
 
 class TestOrderings:
