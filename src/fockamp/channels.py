@@ -4,6 +4,12 @@ Builds the cyclic shift (truncated phase) operator, the nonlinear single-mode
 output operator b_out = S * sqrt(n_b + G n_a), the output-number operators of
 the two linear amplifiers, and the idealized reservoir-transfer basis map, and
 provides the commutator checks that certify each of them.
+
+Each operator is a low-order polynomial in ladder operators, so it has a few
+fixed diagonals on the number basis.  The builders fill those diagonals
+directly by index arithmetic into one dense matrix (O(D) entries written, no
+Kronecker or matrix products); the tests rebuild every operator from
+``annihilation``/``creation``/``tensor``/``@`` as the brute-force oracle.
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, OperatorMatrix, annihilation, creation, identity, tensor
+from .fock import FockSpace, OperatorMatrix
 from .noise import _check_integer_gain, _check_real_gain
 
 __all__ = [
@@ -30,13 +36,18 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
+def _band(mat: np.ndarray, offset: int) -> np.ndarray:
+    """Writable view of diagonal ``offset`` (> 0 above, < 0 below) of a C-contiguous square matrix."""
+    side = mat.shape[0]
+    start = offset if offset >= 0 else -offset * side
+    return mat.reshape(-1)[start :: side + 1][: max(side - abs(offset), 0)]
+
+
 def shift_operator(space: FockSpace, phase: float = 0.0) -> OperatorMatrix:
     """Cyclic lowering operator: <N-1|S|N> = e^{i phase} for N > 0, wraparound <s|S|0> = 1."""
     dim = space.dim
     mat = np.zeros((dim, dim), dtype=complex)
-    z = np.exp(1j * phase)
-    for n in range(1, dim):
-        mat[n - 1, n] = z
+    _band(mat, 1)[:] = np.exp(1j * phase)
     mat[dim - 1, 0] = 1.0
     return OperatorMatrix((space,), mat)
 
@@ -52,11 +63,17 @@ def nonlinear_bout(
     per input photon between number states.
     """
     g = _check_integer_gain(gain)
+    dim_a = space_a.dim
     n_b = np.arange(space_b.dim)
-    n_a = np.arange(space_a.dim)
-    diag = (n_b[:, None] + g * n_a[None, :]).reshape(-1).astype(float)
-    s_full = tensor(shift_operator(space_b, phase), identity(space_a))
-    return OperatorMatrix((space_b, space_a), s_full.mat * np.sqrt(diag)[None, :])
+    n_a = np.arange(dim_a)
+    root = np.sqrt((n_b[:, None] + g * n_a[None, :]).reshape(-1).astype(float))
+    side = root.size
+    mat = np.zeros((side, side), dtype=complex)
+    # column (n_b, n_a) lands on row (n_b - 1, n_a) with the phase, ...
+    _band(mat, dim_a)[:] = np.exp(1j * phase) * root[dim_a:]
+    # ... and column (0, n_a) wraps around to row (s_b, n_a) with weight 1
+    _band(mat, dim_a - side)[:] = root[:dim_a]
+    return OperatorMatrix((space_b, space_a), mat)
 
 
 def commutator(x: OperatorMatrix, y: OperatorMatrix) -> OperatorMatrix:
@@ -87,34 +104,58 @@ def check_pegg_barnett(comm: OperatorMatrix, space_b: FockSpace, tol: float = 1e
         raise ValueError(f"commutator side {side} is not a multiple of the b dimension {dim_b}")
     dim_a = side // dim_b
     expected = np.eye(side, dtype=complex)
-    top = np.zeros(dim_b)
-    top[space_b.cutoff] = 1.0
-    expected -= (space_b.cutoff + 1) * np.kron(np.diag(top), np.eye(dim_a))
+    _band(expected, 0)[space_b.cutoff * dim_a :] -= space_b.cutoff + 1
     dev = float(np.max(np.abs(comm.mat - expected)))
     return CommutatorCheck(dev <= tol, dev)
+
+
+def _lowered_fill(space: FockSpace) -> np.ndarray:
+    """Diagonal of the truncated a a^dag on one mode: (1, 2, ..., s, 0)."""
+    n = np.arange(space.dim, dtype=float)
+    return np.where(n < space.cutoff, n + 1.0, 0.0)
 
 
 def caves_number_out(space_a: FockSpace, space_b: FockSpace, gain: float) -> OperatorMatrix:
     """Output-number operator of the phase-insensitive linear amplifier.
 
     a_out = sqrt(G) a x 1 + sqrt(G-1) 1 x b_dag on the (a, b) product space;
-    returns a_out^dag a_out.  The gain may be any real >= 1.
+    returns a_out^dag a_out = G a^dag a x 1 + (G-1) 1 x (b b^dag)_trunc
+    + sqrt(G(G-1)) (a^dag x b^dag + a x b), at most 3 nonzeros per row.
+    The gain may be any real >= 1.
     """
     g = _check_real_gain(gain)
-    a_out = math.sqrt(g) * tensor(annihilation(space_a), identity(space_b)) + math.sqrt(
-        g - 1.0
-    ) * tensor(identity(space_a), creation(space_b))
-    return a_out.dagger() @ a_out
+    dim_b = space_b.dim
+    n_a = np.arange(space_a.dim, dtype=float)[:, None]
+    lowered = _lowered_fill(space_b)[None, :]
+    side = space_a.dim * dim_b
+    mat = np.zeros((side, side), dtype=complex)
+    _band(mat, 0)[:] = (g * n_a + (g - 1.0) * lowered).reshape(-1)
+    # a^dag x b^dag takes column (n_a, n_b) to row (n_a + 1, n_b + 1), dim_b + 1 further on;
+    # the entries with n_b = s_b vanish because b^dag is truncated there
+    pair = (math.sqrt(g * (g - 1.0)) * np.sqrt((n_a + 1.0) * lowered)).reshape(-1)[: -(dim_b + 1)]
+    _band(mat, -(dim_b + 1))[:] = pair
+    _band(mat, dim_b + 1)[:] = pair
+    return OperatorMatrix((space_a, space_b), mat)
 
 
 def phase_sensitive_number_out(space_a: FockSpace, gain: float) -> OperatorMatrix:
     """Output-number operator of the phase-sensitive linear amplifier.
 
-    a_out = sqrt(G) a + sqrt(G-1) a_dag on a single mode; returns a_out^dag a_out.
+    a_out = sqrt(G) a + sqrt(G-1) a_dag on a single mode; returns a_out^dag a_out
+    = G a^dag a + (G-1) (a a^dag)_trunc + sqrt(G(G-1)) (a^dag a^dag + a a),
+    the main diagonal and the +-2 diagonals.
     """
     g = _check_real_gain(gain)
-    a_out = math.sqrt(g) * annihilation(space_a) + math.sqrt(g - 1.0) * creation(space_a)
-    return a_out.dagger() @ a_out
+    dim = space_a.dim
+    n = np.arange(dim, dtype=float)
+    mat = np.zeros((dim, dim), dtype=complex)
+    _band(mat, 0)[:] = g * n + (g - 1.0) * _lowered_fill(space_a)
+    # a^dag a^dag takes |n> to |n + 2> with weight sqrt((n+1)(n+2)) while n + 2 <= s
+    m = n[:-2]
+    pair = math.sqrt(g * (g - 1.0)) * np.sqrt((m + 1.0) * (m + 2.0))
+    _band(mat, -2)[:] = pair
+    _band(mat, 2)[:] = pair
+    return OperatorMatrix((space_a,), mat)
 
 
 @dataclass(frozen=True)

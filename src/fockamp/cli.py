@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -46,6 +47,15 @@ def _fmt(value) -> str:
             return "inf" if value > 0 else "-inf"
         return format(value, ".17g")
     return str(value)
+
+
+def _integer(value, name: str) -> int:
+    """An integer config field: an int, or a float with an integral value; anything else is refused."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _load_config(path) -> dict:
@@ -105,9 +115,11 @@ def cmd_verify(args) -> int:
     _log_config("verify", resolved)
     try:
         gain = None if resolved["gain"] is None else noise._check_real_gain(resolved["gain"])
-        cfg = VerifyConfig(
-            cutoff=resolved["cutoff"], gain=gain, seed=int(resolved["seed"]), fixed_phase=resolved["fixed_phase"]
-        )
+        cutoff = None if resolved["cutoff"] is None else FockSpace(_integer(resolved["cutoff"], "cutoff")).cutoff
+        phase = None if resolved["fixed_phase"] is None else float(resolved["fixed_phase"])
+        if phase is not None and not math.isfinite(phase):
+            raise ValueError(f"fixed_phase must be finite, got {phase}")
+        cfg = VerifyConfig(cutoff=cutoff, gain=gain, seed=_integer(resolved["seed"], "seed"), fixed_phase=phase)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid verify config: {exc}")
     results = run_checks(cfg)
@@ -147,7 +159,8 @@ def cmd_snr_table(args) -> int:
     )
     _log_config("snr-table", resolved)
     try:
-        n_a, dn_b = int(resolved["n_a"]), float(resolved["dn_b"])
+        n_a, dn_b = _integer(resolved["n_a"], "n_a"), float(resolved["dn_b"])
+        noise._check_snr_inputs(n_a, dn_b)
         families = [(entry["tag"], entry.get("g")) for entry in resolved["mechanisms"]]
         grid = list(resolved["grid"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -175,7 +188,7 @@ def cmd_snr_table(args) -> int:
 def _reservoir_from_config(cfg: dict) -> ReservoirSpec:
     kind = cfg.get("kind")
     if kind == "fock":
-        return ReservoirSpec.fock(int(cfg["n"]))
+        return ReservoirSpec.fock(_integer(cfg["n"], "reservoir n"))
     if kind == "thermal":
         return ReservoirSpec.thermal(float(cfg["nbar"]))
     if kind == "empirical":
@@ -187,10 +200,10 @@ def _scenario_from_config(cfg: dict, trials: int, seed: int) -> ScenarioSpec:
     try:
         return ScenarioSpec(
             model=cfg["model"],
-            input_n_a=int(cfg.get("n_a", 0)),
+            input_n_a=_integer(cfg.get("n_a", 0), "n_a"),
             reservoir=_reservoir_from_config(cfg.get("reservoir", {"kind": "thermal", "nbar": 1.0})),
-            trials=int(cfg.get("trials", trials)),
-            seed=int(cfg.get("seed", seed)),
+            trials=_integer(cfg.get("trials", trials), "trials"),
+            seed=_integer(cfg.get("seed", seed), "seed"),
             gain_G=cfg.get("G"),
             step_gain_g=cfg.get("g"),
             steps_N=cfg.get("N"),
@@ -218,7 +231,8 @@ def cmd_mc(args) -> int:
     _log_config("mc", resolved)
     # validate every scenario before any sampling happens
     try:
-        specs = [_scenario_from_config(c, int(resolved["trials"]), int(resolved["seed"])) for c in resolved["scenarios"]]
+        trials, seed = _integer(resolved["trials"], "trials"), _integer(resolved["seed"], "seed")
+        specs = [_scenario_from_config(c, trials, seed) for c in resolved["scenarios"]]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid mc config: {exc}")
     rows = []
@@ -279,16 +293,16 @@ def cmd_filter_scan(args) -> int:
         nbar_amp = filters.thermal_occupancy(float(resolved["omega_amp"]), env)
         b_env = NumberStats(nbar_amp, nbar_amp * (nbar_amp + 1.0))
         gain = noise._check_integer_gain(resolved["gain"])
-        n_a = int(resolved["n_a"])
+        n_a = _integer(resolved["n_a"], "n_a")
         space_a = FockSpace(max(n_a, 1))
-        space_c = FockSpace(int(resolved["cutoff_c"]))
+        space_c = FockSpace(_integer(resolved["cutoff_c"], "cutoff_c"))
         rho_a = fock_state(space_a, n_a)
         rho_c = fock_state(space_c, 0)
 
         if resolved["table"]:
             pairs = filters.read_transfer_table(resolved["table"])
         else:
-            count = int(resolved["points"])
+            count = _integer(resolved["points"], "points")
             lo, hi = float(resolved["omega_min"]), float(resolved["omega_max"])
             step = (hi - lo) / (count - 1) if count > 1 else 0.0
             pairs = [
@@ -322,15 +336,15 @@ def cmd_shelving_demo(args) -> int:
     _log_config("shelving-demo", resolved)
     try:
         gain = noise._check_integer_gain(resolved["gain"])
-        n_a = int(resolved["n_a"])
+        n_a, trials, seed = (_integer(resolved[key], key) for key in ("n_a", "trials", "seed"))
         reservoir = ReservoirSpec.thermal(float(resolved["nbar"]))
         specs = [
             ScenarioSpec(
                 model="Shelving",
                 input_n_a=n_a,
                 reservoir=reservoir,
-                trials=int(resolved["trials"]),
-                seed=int(resolved["seed"]),
+                trials=trials,
+                seed=seed,
                 gain_G=gain,
                 cavity_mode_count=modes,
             )

@@ -44,8 +44,10 @@ class TransferPair:
     R: complex
 
     def __post_init__(self):
+        if not math.isfinite(self.omega):
+            raise ValueError(f"frequency must be finite, got {self.omega}")
         miss = abs(abs(self.T) ** 2 + abs(self.R) ** 2 - 1.0)
-        if miss > UNITARITY_TOL:
+        if not miss <= UNITARITY_TOL:  # written so that a nan amplitude fails
             raise ValueError(f"lossless filter requires |T|^2+|R|^2 = 1, off by {miss:.3e}")
 
 
@@ -57,8 +59,8 @@ class ThermalEnv:
     hbar_over_k: float = HBAR_OVER_K
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
 
     def ratio(self, omega: float) -> float:
         """Dimensionless hbar*omega / (k_B T)."""
@@ -72,8 +74,8 @@ def lorentzian_transfer(omega: float, omega0: float, gamma: float) -> TransferPa
     is the default filter model; externally tabulated (T, R) pairs can be used
     anywhere a TransferPair is accepted.
     """
-    if gamma <= 0:
-        raise ValueError(f"linewidth must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"linewidth must be finite and positive, got {gamma}")
     denom = 1j * (omega - omega0) + gamma / 2.0
     return TransferPair(omega, complex((gamma / 2.0) / denom), complex(1j * (omega - omega0) / denom))
 
@@ -88,7 +90,7 @@ def filtered_output_operator(space_a: FockSpace, space_c: FockSpace, tp: Transfe
 
 def thermal_occupancy(omega: float, env: ThermalEnv) -> float:
     """Bose-Einstein mean occupation 1/(exp(hbar*omega/kT) - 1)."""
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError(f"frequency must be positive, got {omega}")
     return 1.0 / math.expm1(env.ratio(omega))
 

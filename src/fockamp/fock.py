@@ -3,9 +3,11 @@
 Everything here is dense, desk-scale linear algebra on number-state bases.
 States are stored as probability vectors over number states (phase-randomized
 inputs make off-diagonal density-matrix terms irrelevant to every quantity we
-compute); operators stay full complex matrices.  This module is the brute-force
-oracle the amplification channels and closed-form noise formulas are checked
-against.
+compute); operators are dense complex matrices.  Exact moments of those
+matrices are the oracle the closed-form noise formulas are checked against.
+The ladder matrices, ``tensor`` and ``@`` are the brute-force oracle for the
+operators themselves: ``channels`` fills each operator's few diagonals
+directly, and the tests rebuild each one from these pieces to check it.
 """
 from __future__ import annotations
 
@@ -121,6 +123,8 @@ class DiagonalState:
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (self.space.dim,):
             raise ValueError(f"probability vector length {probs.shape} does not match dimension {self.space.dim}")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probabilities must be finite")
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
         total = float(probs.sum())
@@ -206,8 +210,8 @@ def thermal_state(space: FockSpace, nbar: float) -> DiagonalState:
     Truncation is renormalized rather than clipped, so the probabilities sum to
     one exactly; the bias this introduces is controlled by the leakage check.
     """
-    if nbar < 0:
-        raise ValueError(f"mean occupation must be nonnegative, got {nbar}")
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"mean occupation must be finite and nonnegative, got {nbar}")
     if nbar == 0:
         return fock_state(space, 0)
     q = nbar / (nbar + 1.0)

@@ -82,17 +82,17 @@ class ReservoirSpec:
 
     def __post_init__(self):
         if self.kind == "fock":
-            if self.n < 0:
-                raise ValueError(f"fock occupation must be nonnegative, got {self.n}")
+            if not 0 <= self.n < math.inf:
+                raise ValueError(f"fock occupation must be finite and nonnegative, got {self.n}")
         elif self.kind == "thermal":
-            if self.nbar < 0:
-                raise ValueError(f"thermal mean must be nonnegative, got {self.nbar}")
+            if not 0 <= self.nbar < math.inf:
+                raise ValueError(f"thermal mean must be finite and nonnegative, got {self.nbar}")
         elif self.kind == "empirical":
             p = np.asarray(self.probs, dtype=float)
             if p.ndim != 1 or p.size == 0:
                 raise ValueError("empirical law needs a nonempty probability vector")
-            if np.any(p < 0):
-                raise ValueError("empirical probabilities must be nonnegative")
+            if not np.all((p >= 0) & (p < math.inf)):
+                raise ValueError("empirical probabilities must be finite and nonnegative")
             if abs(float(p.sum()) - 1.0) > 1e-12:
                 raise ValueError(f"empirical probabilities sum to {p.sum()}, expected 1 within 1e-12")
             object.__setattr__(self, "probs", tuple(float(x) for x in p))

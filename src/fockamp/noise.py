@@ -166,6 +166,14 @@ def var_multistep_multi(total_gain: int, step_gain: int, a: NumberStats, b: Numb
     return big_g * (big_g - 1.0) / (step_gain - 1.0) * b.variance + big_g * big_g * a.variance
 
 
+def _check_snr_inputs(n_a, dn_b):
+    """The signal and noise scale of ``snr``: n_a finite and >= 1, dn_b finite and >= 0."""
+    if not 1 <= n_a < math.inf:
+        raise ValueError(f"n_a must be finite and >= 1, got {n_a}")
+    if not 0.0 <= dn_b < math.inf:
+        raise ValueError(f"dn_b must be finite and nonnegative, got {dn_b}")
+
+
 def snr(mechanism: Mechanism, n_a: int, dn_b: float) -> float:
     """Signal-to-noise ratio for a fixed input photon number n_a.
 
@@ -173,10 +181,7 @@ def snr(mechanism: Mechanism, n_a: int, dn_b: float) -> float:
     when the noise denominator vanishes (zero-noise reservoir, or G = 1 for the
     linear mechanisms, where no noise is added at all).
     """
-    if not 1 <= n_a < math.inf:
-        raise ValueError(f"n_a must be finite and >= 1, got {n_a}")
-    if not 0.0 <= dn_b < math.inf:
-        raise ValueError(f"dn_b must be finite and nonnegative, got {dn_b}")
+    _check_snr_inputs(n_a, dn_b)
     g_tot = mechanism.gain_G
     tag = mechanism.tag
     if tag == "PhaseSensitive":

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dense_oracle
 from fockamp import (
     FockSpace,
     OperatorMatrix,
@@ -187,6 +190,49 @@ class TestLinearAmplifiers:
     @pytest.mark.parametrize("gain", [1.0, 1.5, 2.0, 7.25, 100.0])
     def test_coefficient_identity(self, gain):
         assert abs(math.sqrt(gain) ** 2 - math.sqrt(gain - 1.0) ** 2 - 1.0) <= 1e-12
+
+
+CUTOFFS = st.integers(min_value=0, max_value=12)
+REAL_GAINS = st.floats(min_value=1.0, max_value=6.0)
+INTEGER_GAINS = st.integers(min_value=1, max_value=5)
+PHASES = st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True)
+
+
+class TestStructuredBuildsMatchDenseOracle:
+    """The index-arithmetic builders against the kron/@ builds of tests/dense_oracle.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(s_a=CUTOFFS, s_b=CUTOFFS, gain=REAL_GAINS)
+    def test_caves(self, s_a, s_b, gain):
+        sa, sb = FockSpace(s_a), FockSpace(s_b)
+        built = caves_number_out(sa, sb, gain)
+        oracle = dense_oracle.caves_number_out(sa, sb, gain)
+        assert built.spaces == oracle.spaces
+        assert np.max(np.abs(built.mat - oracle.mat)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=CUTOFFS, gain=REAL_GAINS)
+    def test_phase_sensitive(self, s, gain):
+        sp = FockSpace(s)
+        built = phase_sensitive_number_out(sp, gain)
+        oracle = dense_oracle.phase_sensitive_number_out(sp, gain)
+        assert built.spaces == oracle.spaces
+        assert np.max(np.abs(built.mat - oracle.mat)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(s_b=CUTOFFS, s_a=CUTOFFS, gain=INTEGER_GAINS, phase=PHASES)
+    def test_nonlinear_bout_exact(self, s_b, s_a, gain, phase):
+        sb, sa = FockSpace(s_b), FockSpace(s_a)
+        built = nonlinear_bout(sb, sa, gain, phase)
+        oracle = dense_oracle.nonlinear_bout(sb, sa, gain, phase)
+        assert built.spaces == oracle.spaces
+        assert np.array_equal(built.mat, oracle.mat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=CUTOFFS, phase=PHASES)
+    def test_shift_operator_exact(self, s, phase):
+        sp = FockSpace(s)
+        assert np.array_equal(shift_operator(sp, phase).mat, dense_oracle.shift_operator(sp, phase).mat)
 
 
 class TestIdealMap:

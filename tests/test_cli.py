@@ -212,6 +212,17 @@ class TestDeterminismAndConfig:
         rows = read_rows(out_csv)
         assert rows[0]["trials"] == "2000"
 
+    def test_integral_float_fields_read_as_integers(self, capsys, tmp_path):
+        outs = []
+        configs = ({"n_a": 1, "trials": 2000, "seed": 3}, {"n_a": 1.0, "trials": 2000.0, "seed": 3.0})
+        for k, fields in enumerate(configs):
+            cfg = tmp_path / f"cfg{k}.json"
+            cfg.write_text(json.dumps({"gain": 2, **fields}))
+            outs.append(tmp_path / f"out{k}.csv")
+            code, _, _ = run_cli(capsys, "shelving-demo", "--config", str(cfg), "--out", str(outs[-1]))
+            assert code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     CONFIG_ERRORS = [
         ("mc", "{not json", []),
         ("snr-table", json.dumps({"mechanisms": [{"g": 2}]}), []),  # no "tag"
@@ -219,6 +230,24 @@ class TestDeterminismAndConfig:
         ("filter-scan", json.dumps({"gain": 2.5}), []),
         ("shelving-demo", "{}", ["--gain", "2.7"]),
         ("verify", "{}", ["--gain", "0.5"]),
+        ("verify", json.dumps({"cutoff": 1.5}), []),
+        ("verify", json.dumps({"cutoff": -3}), []),
+        ("verify", json.dumps({"fixed_phase": "x"}), []),
+        ("verify", json.dumps({"fixed_phase": math.inf}), []),
+        ("snr-table", json.dumps({"n_a": 0}), []),
+        ("snr-table", json.dumps({"dn_b": math.nan}), []),
+        ("snr-table", json.dumps({"n_a": 1.5}), []),
+        ("mc", json.dumps({"trials": 1000.5}), []),
+        ("mc", json.dumps({"seed": "7"}), []),
+        ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 2, "n_a": 1.5}]}), []),
+        ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 2, "trials": 1000.5}]}), []),
+        ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 2, "seed": 0.5}]}), []),
+        ("shelving-demo", json.dumps({"n_a": 1.5}), []),
+        ("shelving-demo", json.dumps({"trials": True}), []),
+        ("shelving-demo", json.dumps({"seed": 7.25}), []),
+        ("filter-scan", json.dumps({"n_a": 1.5}), []),
+        ("filter-scan", json.dumps({"points": 10.5}), []),
+        ("filter-scan", json.dumps({"cutoff_c": 0.5}), []),
     ]
 
     def test_bad_config_file_is_a_config_error(self, capsys, tmp_path):

@@ -1,0 +1,83 @@
+"""Non-gain validators refuse nan and +-inf (and out-of-range values) with ValueError."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fockamp import (
+    DiagonalState,
+    FockSpace,
+    ReservoirSpec,
+    ThermalEnv,
+    TransferPair,
+    lorentzian_transfer,
+    thermal_occupancy,
+    thermal_state,
+)
+
+SP = FockSpace(5)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=40, deadline=None)
+@given(bad=NON_FINITE, index=st.integers(min_value=0, max_value=SP.cutoff))
+def test_diagonal_state_rejects_non_finite_probabilities(bad, index):
+    probs = np.full(SP.dim, 1.0 / SP.dim)
+    probs[index] = bad
+    with pytest.raises(ValueError):
+        DiagonalState(SP, probs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nbar=st.one_of(NON_FINITE, st.floats(max_value=0.0, exclude_max=True)))
+def test_thermal_state_rejects_bad_mean(nbar):
+    with pytest.raises(ValueError, match="mean occupation"):
+        thermal_state(SP, nbar)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nbar=st.one_of(NON_FINITE, st.floats(max_value=0.0, exclude_max=True)))
+def test_thermal_reservoir_rejects_bad_mean(nbar):
+    with pytest.raises(ValueError):
+        ReservoirSpec.thermal(nbar)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bad=NON_FINITE, index=st.integers(min_value=0, max_value=2))
+def test_empirical_reservoir_rejects_non_finite_probabilities(bad, index):
+    probs = [0.5, 0.25, 0.25]
+    probs[index] = bad
+    with pytest.raises(ValueError):
+        ReservoirSpec.empirical(probs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bad=NON_FINITE, which=st.sampled_from(["omega", "T", "R"]))
+def test_transfer_pair_rejects_non_finite_fields(bad, which):
+    fields = {"omega": 1.0, "T": 1.0 + 0j, "R": 0j}
+    fields[which] = bad if which == "omega" else complex(bad, 0.0)
+    with pytest.raises(ValueError):
+        TransferPair(**fields)
+
+
+@settings(max_examples=40, deadline=None)
+@given(temperature=st.one_of(NON_FINITE, st.floats(max_value=0.0)))
+def test_thermal_env_rejects_bad_temperature(temperature):
+    with pytest.raises(ValueError):
+        ThermalEnv(temperature)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gamma=st.one_of(NON_FINITE, st.floats(max_value=0.0)))
+def test_lorentzian_rejects_bad_linewidth(gamma):
+    with pytest.raises(ValueError):
+        lorentzian_transfer(1.0, 1.0, gamma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(omega=st.one_of(st.just(math.nan), st.floats(max_value=0.0)))
+def test_thermal_occupancy_rejects_bad_frequency(omega):
+    with pytest.raises(ValueError):
+        thermal_occupancy(omega, ThermalEnv(300.0))
