@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, OperatorMatrix
-from .noise import _check_integer_gain, _check_real_gain
+from .fock import FockSpace, OperatorMatrix, _check_integer
+from .noise import _check_real_gain
 
 __all__ = [
     "shift_operator",
@@ -62,7 +62,7 @@ def nonlinear_bout(
     involved.  The gain must be an integer: the scheme transfers G excitations
     per input photon between number states.
     """
-    g = _check_integer_gain(gain)
+    g = _check_integer(gain, "gain", 1)
     dim_a = space_a.dim
     n_b = np.arange(space_b.dim)
     n_a = np.arange(dim_a)
@@ -181,16 +181,14 @@ def ideal_schrodinger_map(
     Requires M >= G n: the G n excitations delivered to the monitored reservoir
     are drawn from the supply reservoir, so it must hold at least that many.
     """
-    g = _check_integer_gain(gain)
-    for name, value in (("n", n), ("M", M), ("N", N)):
-        if not isinstance(value, (int, np.integer)) or value < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    g = _check_integer(gain, "gain", 1)
+    n, M, N = (_check_integer(value, name, 0) for name, value in (("n", n), ("M", M), ("N", N)))
     if M < g * n:
         raise ValueError(f"supply reservoir too small: M = {M} < G*n = {g * n}")
     return IdealMapRecord(
-        n_in=int(n),
-        M_out=int(M - g * n),
-        N_out=int(N + g * n),
+        n_in=n,
+        M_out=M - g * n,
+        N_out=N + g * n,
         absorber_energy=n * omega,
         phase=float(phase) % TWO_PI,
     )

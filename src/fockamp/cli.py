@@ -15,13 +15,12 @@ import argparse
 import csv
 import json
 import math
-import numbers
 import os
 import sys
 from pathlib import Path
 
 from . import filters, noise
-from .fock import FockSpace, NumberStats, fock_state
+from .fock import FockSpace, NumberStats, _check_integer, fock_state
 from .montecarlo import ReservoirSpec, ScenarioSpec, _power_sums, _stats_from_power_sums, analytic_variance, run_scenario
 from .verify import VerifyConfig, run_checks
 
@@ -49,15 +48,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _integer(value, name: str) -> int:
-    """An integer config field: an int, or a float with an integral value; anything else is refused."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
 def _load_config(path) -> dict:
     if path is None:
         return {}
@@ -71,12 +61,12 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _resolve(args, defaults: dict, flag_keys: dict) -> dict:
-    """defaults < config file < explicit flags."""
+def _resolve(args, defaults: dict) -> dict:
+    """defaults < config file < explicit flags (the flag of each default key, where the command has one)."""
     resolved = dict(defaults)
     resolved.update(_load_config(getattr(args, "config", None)))
-    for key, attr in flag_keys.items():
-        value = getattr(args, attr, None)
+    for key in defaults:
+        value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
     return resolved
@@ -107,19 +97,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
 
 
 def cmd_verify(args) -> int:
-    resolved = _resolve(
-        args,
-        {"cutoff": None, "gain": None, "seed": 2024, "fixed_phase": None},
-        {"cutoff": "cutoff", "gain": "gain", "seed": "seed", "fixed_phase": "fixed_phase"},
-    )
+    resolved = _resolve(args, {"cutoff": None, "gain": None, "seed": 2024, "fixed_phase": None})
     _log_config("verify", resolved)
     try:
         gain = None if resolved["gain"] is None else noise._check_real_gain(resolved["gain"])
-        cutoff = None if resolved["cutoff"] is None else FockSpace(_integer(resolved["cutoff"], "cutoff")).cutoff
+        cutoff = None if resolved["cutoff"] is None else FockSpace(resolved["cutoff"]).cutoff
         phase = None if resolved["fixed_phase"] is None else float(resolved["fixed_phase"])
         if phase is not None and not math.isfinite(phase):
             raise ValueError(f"fixed_phase must be finite, got {phase}")
-        cfg = VerifyConfig(cutoff=cutoff, gain=gain, seed=_integer(resolved["seed"], "seed"), fixed_phase=phase)
+        cfg = VerifyConfig(cutoff=cutoff, gain=gain, seed=_check_integer(resolved["seed"], "seed"), fixed_phase=phase)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid verify config: {exc}")
     results = run_checks(cfg)
@@ -155,11 +141,10 @@ def cmd_snr_table(args) -> int:
             "dn_b": 1.0,
             "out": None,
         },
-        {"out": "out"},
     )
     _log_config("snr-table", resolved)
     try:
-        n_a, dn_b = _integer(resolved["n_a"], "n_a"), float(resolved["dn_b"])
+        n_a, dn_b = _check_integer(resolved["n_a"], "n_a"), float(resolved["dn_b"])
         noise._check_snr_inputs(n_a, dn_b)
         families = [(entry["tag"], entry.get("g")) for entry in resolved["mechanisms"]]
         grid = list(resolved["grid"])
@@ -170,7 +155,7 @@ def cmd_snr_table(args) -> int:
     for tag, step_g in families:
         for grid_g in grid:
             try:
-                mech = noise.mechanism_for(tag, grid_g, step_g)
+                mech = noise.Mechanism(tag, grid_g, step_g)
                 value = noise.snr(mech, n_a, dn_b)
             except ValueError as exc:
                 skipped += 1
@@ -188,7 +173,7 @@ def cmd_snr_table(args) -> int:
 def _reservoir_from_config(cfg: dict) -> ReservoirSpec:
     kind = cfg.get("kind")
     if kind == "fock":
-        return ReservoirSpec.fock(_integer(cfg["n"], "reservoir n"))
+        return ReservoirSpec.fock(cfg["n"])
     if kind == "thermal":
         return ReservoirSpec.thermal(float(cfg["nbar"]))
     if kind == "empirical":
@@ -200,10 +185,10 @@ def _scenario_from_config(cfg: dict, trials: int, seed: int) -> ScenarioSpec:
     try:
         return ScenarioSpec(
             model=cfg["model"],
-            input_n_a=_integer(cfg.get("n_a", 0), "n_a"),
+            input_n_a=cfg.get("n_a", 0),
             reservoir=_reservoir_from_config(cfg.get("reservoir", {"kind": "thermal", "nbar": 1.0})),
-            trials=_integer(cfg.get("trials", trials), "trials"),
-            seed=_integer(cfg.get("seed", seed), "seed"),
+            trials=cfg.get("trials", trials),
+            seed=cfg.get("seed", seed),
             gain_G=cfg.get("G"),
             step_gain_g=cfg.get("g"),
             steps_N=cfg.get("N"),
@@ -223,15 +208,11 @@ _DEFAULT_SCENARIOS = [
 
 
 def cmd_mc(args) -> int:
-    resolved = _resolve(
-        args,
-        {"scenarios": _DEFAULT_SCENARIOS, "trials": 100_000, "seed": 12345, "out": None},
-        {"trials": "trials", "seed": "seed", "out": "out"},
-    )
+    resolved = _resolve(args, {"scenarios": _DEFAULT_SCENARIOS, "trials": 100_000, "seed": 12345, "out": None})
     _log_config("mc", resolved)
     # validate every scenario before any sampling happens
     try:
-        trials, seed = _integer(resolved["trials"], "trials"), _integer(resolved["seed"], "seed")
+        trials, seed = _check_integer(resolved["trials"], "trials", 1), _check_integer(resolved["seed"], "seed")
         specs = [_scenario_from_config(c, trials, seed) for c in resolved["scenarios"]]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid mc config: {exc}")
@@ -285,24 +266,23 @@ def cmd_filter_scan(args) -> int:
             "table": None,
             "out": None,
         },
-        {"out": "out"},
     )
     _log_config("filter-scan", resolved)
     try:
         env = filters.ThermalEnv(float(resolved["temperature"]))
         nbar_amp = filters.thermal_occupancy(float(resolved["omega_amp"]), env)
         b_env = NumberStats(nbar_amp, nbar_amp * (nbar_amp + 1.0))
-        gain = noise._check_integer_gain(resolved["gain"])
-        n_a = _integer(resolved["n_a"], "n_a")
+        gain = _check_integer(resolved["gain"], "gain", 1)
+        n_a = _check_integer(resolved["n_a"], "n_a", 0)
         space_a = FockSpace(max(n_a, 1))
-        space_c = FockSpace(_integer(resolved["cutoff_c"], "cutoff_c"))
+        space_c = FockSpace(resolved["cutoff_c"])
         rho_a = fock_state(space_a, n_a)
         rho_c = fock_state(space_c, 0)
 
         if resolved["table"]:
             pairs = filters.read_transfer_table(resolved["table"])
         else:
-            count = _integer(resolved["points"], "points")
+            count = _check_integer(resolved["points"], "points")
             lo, hi = float(resolved["omega_min"]), float(resolved["omega_max"])
             step = (hi - lo) / (count - 1) if count > 1 else 0.0
             pairs = [
@@ -328,15 +308,11 @@ def cmd_filter_scan(args) -> int:
 
 
 def cmd_shelving_demo(args) -> int:
-    resolved = _resolve(
-        args,
-        {"gain": 8, "n_a": 1, "nbar": 1.0, "trials": 200_000, "seed": 7, "out": None},
-        {"trials": "trials", "seed": "seed", "out": "out", "gain": "gain"},
-    )
+    resolved = _resolve(args, {"gain": 8, "n_a": 1, "nbar": 1.0, "trials": 200_000, "seed": 7, "out": None})
     _log_config("shelving-demo", resolved)
     try:
-        gain = noise._check_integer_gain(resolved["gain"])
-        n_a, trials, seed = (_integer(resolved[key], key) for key in ("n_a", "trials", "seed"))
+        gain = _check_integer(resolved["gain"], "gain", 1)
+        n_a, trials, seed = (_check_integer(resolved[key], key) for key in ("n_a", "trials", "seed"))
         reservoir = ReservoirSpec.thermal(float(resolved["nbar"]))
         specs = [
             ScenarioSpec(

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fock import DiagonalState, FockSpace, NumberStats, OperatorMatrix, annihilation, identity, moments, tensor
-from .noise import _check_integer_gain
+from .fock import DiagonalState, FockSpace, NumberStats, OperatorMatrix, _check_integer, annihilation, identity, moments, tensor
 
 __all__ = [
     "HBAR_OVER_K",
@@ -109,7 +108,7 @@ def filtered_amplified_stats(
     amplified by integer G into a reservoir with the given occupation
     statistics: mean = nbar_b + G*mean_f, variance = var_b + G^2*var_f.
     """
-    gain = _check_integer_gain(gain)
+    gain = _check_integer(gain, "gain", 1)
     filtered = moments([a, c], filtered_output_operator(a.space, c.space, tp))
     return NumberStats(b_env.mean + gain * filtered.mean, b_env.variance + gain * gain * filtered.variance)
 

@@ -12,8 +12,9 @@ directly, and the tests rebuild each one from these pieces to check it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,6 +49,19 @@ class TruncationError(RuntimeError):
     """A state carries non-negligible weight in the top levels of its space."""
 
 
+def _check_integer(value, name: str, minimum: Optional[int] = None) -> int:
+    """The one integer check: an int, or a real with an integral value (2.0 reads as 2).
+
+    bool, nan, +-inf, non-integral values and values below ``minimum`` raise ValueError.
+    """
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FockSpace:
     """Number-state space truncated at occupation ``cutoff`` (dimension cutoff+1)."""
@@ -55,8 +69,7 @@ class FockSpace:
     cutoff: int
 
     def __post_init__(self):
-        if not isinstance(self.cutoff, (int, np.integer)) or self.cutoff < 0:
-            raise ValueError(f"cutoff must be a nonnegative integer, got {self.cutoff!r}")
+        object.__setattr__(self, "cutoff", _check_integer(self.cutoff, "cutoff", 0))
 
     @property
     def dim(self) -> int:

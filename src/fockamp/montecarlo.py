@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fock import NumberStats
+from .fock import NumberStats, _check_integer
+from .noise import gain_structure
 
 __all__ = [
     "ReservoirSpec",
@@ -43,23 +44,17 @@ _MIX2 = 0x94D049BB133111EB
 _BLOCK = 1 << 17
 
 
-def _mix_int(z: int) -> int:
-    """64-bit finalizer (SplitMix64 style) on plain Python integers."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
 def _mix_u64(z: np.ndarray) -> np.ndarray:
+    """64-bit finalizer (SplitMix64 style), wrapping modulo 2**64."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
 
 
 def _stream_keys(seed: int, draw_index: int) -> tuple[int, int]:
-    base = _mix_int((seed & _MASK) ^ _mix_int((draw_index + 1) * _PHI))
-    return base, _mix_int(base + _MIX2)
+    slot = _mix_u64(np.array([(draw_index + 1) * _PHI & _MASK], dtype=np.uint64))
+    base = _mix_u64(np.array([seed & _MASK], dtype=np.uint64) ^ slot)
+    return int(base[0]), int(_mix_u64(base + np.uint64(_MIX2))[0])
 
 
 def _uniforms(seed: int, draw_index: int, start: int, count: int) -> np.ndarray:
@@ -82,11 +77,12 @@ class ReservoirSpec:
 
     def __post_init__(self):
         if self.kind == "fock":
-            if not 0 <= self.n < math.inf:
-                raise ValueError(f"fock occupation must be finite and nonnegative, got {self.n}")
+            object.__setattr__(self, "n", _check_integer(self.n, "fock occupation", 0))
         elif self.kind == "thermal":
             if not 0 <= self.nbar < math.inf:
                 raise ValueError(f"thermal mean must be finite and nonnegative, got {self.nbar}")
+            if self.nbar / (self.nbar + 1.0) == 1.0:
+                raise ValueError(f"thermal mean {self.nbar} too large: q = nbar/(nbar+1) rounds to 1")
         elif self.kind == "empirical":
             p = np.asarray(self.probs, dtype=float)
             if p.ndim != 1 or p.size == 0:
@@ -121,6 +117,17 @@ class ReservoirSpec:
         n = np.arange(p.size)
         mean = float(p @ n)
         return NumberStats(mean, float(p @ (n * n)) - mean * mean)
+
+    @property
+    def _max_draw(self) -> int:
+        """Largest count one draw can return (a uniform is at most 1 - 2**-53)."""
+        if self.kind == "fock":
+            return self.n
+        if self.kind == "thermal":
+            if self.nbar == 0.0:
+                return 0
+            return math.floor(math.log(2.0**-53) / math.log(self.nbar / (self.nbar + 1.0)))
+        return len(self.probs) - 1
 
     @property
     def label(self) -> str:
@@ -182,26 +189,19 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.model not in MC_MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        for name in ("input_n_a", "trials", "seed", "gain_G", "step_gain_g", "steps_N", "cavity_mode_count", "mode_budget"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.input_n_a < 0:
-            raise ValueError(f"input photon number must be nonnegative, got {self.input_n_a}")
+        for name, minimum in (("input_n_a", 0), ("trials", 1), ("seed", None)):
+            object.__setattr__(self, name, _check_integer(getattr(self, name), name, minimum))
+        for name in ("cavity_mode_count", "mode_budget"):  # checked when given, whichever the model
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _check_integer(getattr(self, name), name, 0))
         if self.model in ("MultiStepSingle", "MultiStepMulti"):
-            if self.step_gain_g is None or self.steps_N is None:
-                raise ValueError(f"{self.model} requires step_gain_g and steps_N")
-            if self.step_gain_g < 2 or self.steps_N < 1:
-                raise ValueError("step gain must be >= 2 and steps >= 1")
-            total = self.step_gain_g**self.steps_N
-            if self.gain_G is not None and self.gain_G != total:
-                raise ValueError(f"gain_G = {self.gain_G} inconsistent with g**N = {total}")
-            object.__setattr__(self, "gain_G", total)
+            if self.step_gain_g is None:
+                raise ValueError(f"{self.model} requires step_gain_g")
+            structure = gain_structure(self.gain_G, self.step_gain_g, self.steps_N)
         else:
-            if self.gain_G is None or self.gain_G < 1:
-                raise ValueError(f"{self.model} requires an integer gain >= 1")
+            structure = gain_structure(self.gain_G)
+        for name, value in zip(("gain_G", "step_gain_g", "steps_N"), structure):
+            object.__setattr__(self, name, value)
         if self.model == "Shelving":
             m = self.cavity_mode_count
             if m is None or not 1 <= m <= self.gain_G:
@@ -211,6 +211,10 @@ class ScenarioSpec:
             if budget < self.input_n_a:
                 raise ValueError(f"mode budget {budget} below input photon number {self.input_n_a}")
             object.__setattr__(self, "mode_budget", budget)
+        weights, signal = _weights_and_signal(self)
+        peak = signal + self.reservoir._max_draw * sum(weights)
+        if peak >= 2**63:
+            raise ValueError(f"a trial can count up to {peak} excitations, beyond the int64 range")
 
 
 def _weights_and_signal(spec: ScenarioSpec) -> tuple[list[int], int]:

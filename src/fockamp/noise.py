@@ -14,11 +14,12 @@ import numbers
 from dataclasses import dataclass
 from typing import Optional
 
-from .fock import NumberStats
+from .fock import NumberStats, _check_integer
 
 __all__ = [
     "MECHANISM_TAGS",
     "Mechanism",
+    "gain_structure",
     "var_caves",
     "var_phase_sensitive",
     "var_single_mode",
@@ -47,32 +48,38 @@ def _check_real_gain(gain) -> float:
     return float(gain)
 
 
-def _check_integer_gain(gain) -> int:
-    """Gain of the number-transfer schemes: a finite integer >= 1 (2.0 counts as 2)."""
-    g = _check_real_gain(gain)
-    if not g.is_integer():
-        raise ValueError(f"gain must be an integer, got {gain!r}")
-    return int(g)
+def gain_structure(G, g=None, N=None) -> tuple[int, Optional[int], Optional[int]]:
+    """The gain structure (G, g, N) of a number-transfer scheme, as ints.
 
-
-def steps_for(total_gain: int, step_gain: int) -> int:
-    """Number of steps N with step_gain**N == total_gain, exact integer arithmetic."""
-    g = _check_integer_gain(step_gain)
-    if g < 2:
-        raise ValueError(f"step gain must be >= 2, got {step_gain}")
-    total = _check_integer_gain(total_gain)
-    n, power = 1, g
-    while power < total:
-        power *= g
-        n += 1
-    if power != total:
-        raise ValueError(f"total gain {total_gain} is not a power of the step gain {step_gain}")
-    return n
+    Without a step gain g, G is an integer >= 1 and N must be absent.  An N-step
+    cascade has g an integer >= 2, N >= 1 and G = g**N exactly: either G or N
+    may be left out, and if both are given they must agree.
+    """
+    if g is None:
+        if N is not None:
+            raise ValueError(f"steps N = {N!r} needs a step gain g")
+        return _check_integer(G, "gain G", 1), None, None
+    g = _check_integer(g, "step gain g", 2)
+    if N is None:
+        total, N = _check_integer(G, "gain G", 1), 1
+        while g**N < total:
+            N += 1
+        if g**N != total:
+            raise ValueError(f"total gain {G} is not a power of the step gain {g}")
+        return total, g, N
+    N = _check_integer(N, "steps N", 1)
+    if G is not None and _check_integer(G, "gain G", 1) != g**N:
+        raise ValueError(f"gain G = {G} inconsistent with g**N = {g}**{N} = {g**N}")
+    return g**N, g, N
 
 
 @dataclass(frozen=True)
 class Mechanism:
-    """Amplification mechanism label with its validated gain parameters."""
+    """Amplification mechanism label with its validated gain parameters.
+
+    Only the cascades carry a step gain and a step count; the other tags have
+    ``step_gain_g = steps_N = None``.
+    """
 
     tag: str
     gain_G: float
@@ -82,20 +89,16 @@ class Mechanism:
     def __post_init__(self):
         if self.tag not in MECHANISM_TAGS:
             raise ValueError(f"unknown mechanism tag {self.tag!r}")
-        if self.tag in _MULTISTEP:
-            g = self.step_gain_g
-            if g is None:
+        if self.tag in _LINEAR:
+            structure = (_check_real_gain(self.gain_G), None, None)
+        elif self.tag in _MULTISTEP:
+            if self.step_gain_g is None:
                 raise ValueError(f"{self.tag} requires a per-step gain")
-            total = _check_integer_gain(self.gain_G)
-            n = steps_for(total, g)
-            if self.steps_N is not None and self.steps_N != n:
-                raise ValueError(f"steps_N = {self.steps_N} inconsistent with {g}**N = {total}")
-            object.__setattr__(self, "gain_G", total)
-            object.__setattr__(self, "steps_N", n)
-        elif self.tag in _LINEAR:
-            object.__setattr__(self, "gain_G", _check_real_gain(self.gain_G))
+            structure = gain_structure(self.gain_G, self.step_gain_g, self.steps_N)
         else:
-            object.__setattr__(self, "gain_G", _check_integer_gain(self.gain_G))
+            structure = gain_structure(self.gain_G)
+        for name, value in zip(("gain_G", "step_gain_g", "steps_N"), structure):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def phase_insensitive(cls, gain: float) -> "Mechanism":
@@ -115,11 +118,11 @@ class Mechanism:
 
     @classmethod
     def multistep_single(cls, step_gain: int, steps: int) -> "Mechanism":
-        return cls("MultiStepSingleMode", step_gain**steps, step_gain, steps)
+        return cls("MultiStepSingleMode", None, step_gain, steps)
 
     @classmethod
     def multistep_multi(cls, step_gain: int, steps: int) -> "Mechanism":
-        return cls("MultiStepMultiMode", step_gain**steps, step_gain, steps)
+        return cls("MultiStepMultiMode", None, step_gain, steps)
 
 
 def var_caves(gain: float, a: NumberStats, b: NumberStats) -> float:
@@ -142,28 +145,28 @@ def var_phase_sensitive(gain: float, a: NumberStats) -> float:
 
 def var_single_mode(gain: int, a: NumberStats, b: NumberStats) -> float:
     """Single-mode nonlinear amplification: reservoir noise enters unamplified."""
-    g = _check_integer_gain(gain)
+    g = _check_integer(gain, "gain", 1)
     return b.variance + g * g * a.variance
 
 
 def var_g_modes(gain: int, a: NumberStats, b: NumberStats) -> float:
     """Amplification into G independent reservoir modes, summed readout."""
-    g = _check_integer_gain(gain)
+    g = _check_integer(gain, "gain", 1)
     return g * b.variance + g * g * a.variance
 
 
 def var_multistep_single(total_gain: int, step_gain: int, a: NumberStats, b: NumberStats) -> float:
     """N-step cascade into a single mode per step, total gain g**N."""
-    steps_for(total_gain, step_gain)  # validates the pair
-    big_g = float(total_gain)
-    return (big_g * big_g - 1.0) / (step_gain * step_gain - 1.0) * b.variance + big_g * big_g * a.variance
+    total, g, _ = gain_structure(total_gain, step_gain)
+    big_g = float(total)
+    return (big_g * big_g - 1.0) / (g * g - 1.0) * b.variance + big_g * big_g * a.variance
 
 
 def var_multistep_multi(total_gain: int, step_gain: int, a: NumberStats, b: NumberStats) -> float:
     """N-step cascade, each step amplifying one excitation into g modes."""
-    steps_for(total_gain, step_gain)
-    big_g = float(total_gain)
-    return big_g * (big_g - 1.0) / (step_gain - 1.0) * b.variance + big_g * big_g * a.variance
+    total, g, _ = gain_structure(total_gain, step_gain)
+    big_g = float(total)
+    return big_g * (big_g - 1.0) / (g - 1.0) * b.variance + big_g * big_g * a.variance
 
 
 def _check_snr_inputs(n_a, dn_b):
@@ -203,12 +206,3 @@ def snr(mechanism: Mechanism, n_a: int, dn_b: float) -> float:
         return g_tot * math.sqrt(g_step * g_step - 1.0) * n_a / (math.sqrt(g_tot * g_tot - 1.0) * dn_b)
     # MultiStepMultiMode
     return math.sqrt(g_tot * (g_step - 1.0)) * n_a / (math.sqrt(g_tot - 1.0) * dn_b)
-
-
-def mechanism_for(tag: str, gain, step_gain: Optional[int] = None) -> Mechanism:
-    """Build a validated Mechanism for one grid point of a family."""
-    if tag in _MULTISTEP:
-        if step_gain is None:
-            raise ValueError(f"{tag} requires a per-step gain")
-        return Mechanism(tag, gain, step_gain)
-    return Mechanism(tag, gain)

@@ -212,16 +212,26 @@ class TestDeterminismAndConfig:
         rows = read_rows(out_csv)
         assert rows[0]["trials"] == "2000"
 
+    # (command, config, the same fields as integral floats)
+    INTEGRAL_FLOAT_CONFIGS = [
+        ("shelving-demo", {"gain": 2, "n_a": 1, "trials": 2000, "seed": 3}, {"n_a": 1.0, "trials": 2000.0, "seed": 3.0}),
+        (
+            "mc",
+            {"scenarios": [{"model": "GModes", "G": 4, "n_a": 1}], "trials": 2000},
+            {"scenarios": [{"model": "GModes", "G": 4.0, "n_a": 1}]},
+        ),
+    ]
+
     def test_integral_float_fields_read_as_integers(self, capsys, tmp_path):
-        outs = []
-        configs = ({"n_a": 1, "trials": 2000, "seed": 3}, {"n_a": 1.0, "trials": 2000.0, "seed": 3.0})
-        for k, fields in enumerate(configs):
-            cfg = tmp_path / f"cfg{k}.json"
-            cfg.write_text(json.dumps({"gain": 2, **fields}))
-            outs.append(tmp_path / f"out{k}.csv")
-            code, _, _ = run_cli(capsys, "shelving-demo", "--config", str(cfg), "--out", str(outs[-1]))
-            assert code == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes()
+        for command, fields, as_floats in self.INTEGRAL_FLOAT_CONFIGS:
+            outs = []
+            for k, config in enumerate((fields, {**fields, **as_floats})):
+                cfg = tmp_path / f"{command}{k}.json"
+                cfg.write_text(json.dumps(config))
+                outs.append(tmp_path / f"{command}{k}.csv")
+                code, _, _ = run_cli(capsys, command, "--config", str(cfg), "--out", str(outs[-1]))
+                assert code == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes(), command
 
     CONFIG_ERRORS = [
         ("mc", "{not json", []),
@@ -248,6 +258,10 @@ class TestDeterminismAndConfig:
         ("filter-scan", json.dumps({"n_a": 1.5}), []),
         ("filter-scan", json.dumps({"points": 10.5}), []),
         ("filter-scan", json.dumps({"cutoff_c": 0.5}), []),
+        # a trial output beyond int64, and a thermal law whose q = nbar/(nbar+1) rounds to 1
+        ("mc", json.dumps({"scenarios": [{"model": "GModes", "G": 8, "reservoir": {"kind": "fock", "n": 2**61}}]}), []),
+        ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 16, "n_a": 2**60}]}), []),
+        ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 2, "reservoir": {"kind": "thermal", "nbar": 1e17}}]}), []),
     ]
 
     def test_bad_config_file_is_a_config_error(self, capsys, tmp_path):

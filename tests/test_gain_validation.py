@@ -1,4 +1,9 @@
-"""Every gain-taking entry point refuses nan, +-inf, bool and gains below 1 with ValueError."""
+"""Gain and integer inputs go through one check each, at every entry point.
+
+Every gain-taking entry point refuses nan, +-inf, bool and gains below 1 with
+ValueError.  Every integer-taking entry point also refuses non-integral values
+and values below its minimum, and reads an integral float k as the int k.
+"""
 import math
 
 import pytest
@@ -9,6 +14,8 @@ from fockamp import (
     FockSpace,
     Mechanism,
     NumberStats,
+    ReservoirSpec,
+    ScenarioSpec,
     TransferPair,
     caves_number_out,
     filtered_amplified_stats,
@@ -24,7 +31,7 @@ from fockamp import (
     var_phase_sensitive,
     var_single_mode,
 )
-from fockamp.noise import MECHANISM_TAGS
+from fockamp.noise import MECHANISM_TAGS, gain_structure
 
 SP = FockSpace(2)
 B = NumberStats(0.5, 0.75)
@@ -81,3 +88,99 @@ def test_integral_gain_is_accepted_as_int_or_float(name):
 def test_snr_rejects_a_bad_reservoir_spread(dn_b):
     with pytest.raises(ValueError):
         snr(Mechanism.single_mode(2), 1, dn_b)
+
+
+def _scenario(model="SingleMode", **fields):
+    base = dict(model=model, input_n_a=1, reservoir=ReservoirSpec.thermal(0.5), trials=10, seed=1)
+    if model in ("MultiStepSingle", "MultiStepMulti"):
+        base.update(step_gain_g=2, steps_N=2)
+    else:
+        base.update(gain_G=40)
+    return ScenarioSpec(**{**base, **fields})
+
+
+# each integer-taking entry point as a function of the one integer under test, with its minimum
+INTEGER_ENTRY_POINTS = {
+    "FockSpace": (FockSpace, 0),
+    "ReservoirSpec.fock": (ReservoirSpec.fock, 0),
+    "ScenarioSpec.input_n_a": (lambda k: _scenario(input_n_a=k), 0),
+    "ScenarioSpec.trials": (lambda k: _scenario(trials=k), 1),
+    "ScenarioSpec.seed": (lambda k: _scenario(seed=k), None),
+    "ScenarioSpec.gain_G": (lambda k: _scenario(gain_G=k), 1),
+    "ScenarioSpec.step_gain_g": (lambda k: _scenario("MultiStepSingle", step_gain_g=k, steps_N=1), 2),
+    "ScenarioSpec.steps_N": (lambda k: _scenario("MultiStepMulti", steps_N=k), 1),
+    "ScenarioSpec.cavity_mode_count": (lambda k: _scenario("Shelving", cavity_mode_count=k), 1),
+    "ScenarioSpec.mode_budget": (lambda k: _scenario("Multiplexed", input_n_a=0, gain_G=2, mode_budget=k), 0),
+    "Mechanism.SingleMode": (Mechanism.single_mode, 1),
+    "Mechanism.GModes": (Mechanism.g_modes, 1),
+    "Mechanism.multistep_single.step": (lambda k: Mechanism.multistep_single(k, 2), 2),
+    "Mechanism.multistep_multi.steps": (lambda k: Mechanism.multistep_multi(2, k), 1),
+    "gain_structure.G": (gain_structure, 1),
+    "gain_structure.g": (lambda k: gain_structure(None, k, 1), 2),
+    "gain_structure.N": (lambda k: gain_structure(None, 2, k), 1),
+    "ideal_schrodinger_map.n": (lambda k: ideal_schrodinger_map(k, 1000, 0, 2), 0),
+    "ideal_schrodinger_map.M": (lambda k: ideal_schrodinger_map(0, k, 0, 2), 0),
+    "ideal_schrodinger_map.N": (lambda k: ideal_schrodinger_map(1, 5, k, 2), 0),
+}
+
+NOT_INTEGERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False]),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
+)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ENTRY_POINTS))
+@settings(max_examples=30, deadline=None)
+@given(value=NOT_INTEGERS)
+def test_non_integer_is_a_value_error(name, value):
+    with pytest.raises(ValueError):
+        INTEGER_ENTRY_POINTS[name][0](value)
+
+
+@pytest.mark.parametrize("name", sorted(k for k, (_, minimum) in INTEGER_ENTRY_POINTS.items() if minimum is not None))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_integer_below_minimum_is_a_value_error(name, data):
+    entry, minimum = INTEGER_ENTRY_POINTS[name]
+    value = data.draw(st.integers(min_value=-(2**60), max_value=minimum - 1))
+    as_float = data.draw(st.booleans())
+    with pytest.raises(ValueError):
+        entry(float(value) if as_float else value)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ENTRY_POINTS))
+@settings(max_examples=20, deadline=None)
+@given(offset=st.integers(min_value=0, max_value=6))
+def test_integral_float_reads_as_the_int(name, offset):
+    entry, minimum = INTEGER_ENTRY_POINTS[name]
+    k = (minimum or 0) + offset
+    # repr tells 4 from 4.0, which == does not
+    assert repr(entry(float(k))) == repr(entry(k))
+
+
+def test_reported_integer_cases():
+    for call in (lambda: ReservoirSpec.fock(1.5), lambda: FockSpace(True), lambda: ideal_schrodinger_map(True, 5, 0, 2)):
+        with pytest.raises(ValueError):
+            call()
+    spec = _scenario(gain_G=4.0)
+    assert spec.gain_G == 4 and type(spec.gain_G) is int
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.integers(min_value=2, max_value=7), n=st.integers(min_value=1, max_value=9))
+def test_gain_structure_of_a_cascade(g, n):
+    structure = (g**n, g, n)
+    assert gain_structure(g**n, g) == gain_structure(None, g, n) == gain_structure(g**n, g, n) == structure
+    assert gain_structure(g**n) == (g**n, None, None)
+    assert gain_structure(float(g**n), float(g), float(n)) == structure
+    for bad in ((g**n + 1, g), (g**n, g, n + 1), (g**n, None, n), (None, g)):
+        with pytest.raises(ValueError):
+            gain_structure(*bad)
+
+
+@pytest.mark.parametrize("tag", ["PhaseInsensitive", "PhaseSensitive", "SingleMode", "GModes"])
+def test_only_cascades_carry_a_step_gain(tag):
+    m = Mechanism(tag, 4, 2, 2)
+    assert (m.step_gain_g, m.steps_N) == (None, None)
+    spec = _scenario("GModes", step_gain_g=2, steps_N=2)
+    assert (spec.step_gain_g, spec.steps_N) == (None, None)

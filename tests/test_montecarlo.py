@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fockamp import (
     FockSpace,
@@ -20,6 +22,7 @@ from fockamp import (
     var_multistep_single,
     var_single_mode,
 )
+from fockamp.montecarlo import _BLOCK, _power_sums
 
 
 def z_score(stats, target):
@@ -83,6 +86,11 @@ class TestReservoirSpec:
             ReservoirSpec.empirical([1.2, -0.2])
         with pytest.raises(ValueError):
             ReservoirSpec("weird")
+
+    @pytest.mark.parametrize("nbar", [1e17, 1e19, 1e300])
+    def test_thermal_mean_whose_q_rounds_to_one_is_refused(self, nbar):
+        with pytest.raises(ValueError, match="rounds to 1"):
+            ReservoirSpec.thermal(nbar)
 
     def test_labels(self):
         assert ReservoirSpec.fock(2).label == "fock(2)"
@@ -163,6 +171,31 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             ScenarioSpec(model="SingleMode", input_n_a=1, reservoir=ReservoirSpec.fock(0), trials=10, seed=1, gain_G=4.5)
 
+    def test_int64_overflow_is_refused_before_sampling(self):
+        def spec(model, gain, n_a, reservoir):
+            return ScenarioSpec(model=model, input_n_a=n_a, reservoir=reservoir, trials=1, seed=1, gain_G=gain)
+
+        # the largest trial output G*n_a + max_draw*sum(w) must stay below 2**63
+        assert run_scenario(spec("SingleMode", 1, 2**63 - 1, ReservoirSpec.fock(0))).mean == float(2**63 - 1)
+        for args in (
+            ("SingleMode", 1, 2**63, ReservoirSpec.fock(0)),
+            ("SingleMode", 16, 2**60, ReservoirSpec.thermal(0.5)),
+            ("GModes", 8, 0, ReservoirSpec.fock(2**61)),
+            ("GModes", 2, 0, ReservoirSpec.fock(2**62)),
+        ):
+            with pytest.raises(ValueError, match="int64"):
+                spec(*args)
+        spec("GModes", 2, 0, ReservoirSpec.fock(2**62 - 1))
+        # a thermal draw is at most floor(log(2**-53) / log q), 36766186968084872 at nbar 1e15
+        spec("GModes", 250, 0, ReservoirSpec.thermal(1e15))
+        with pytest.raises(ValueError, match="int64"):
+            spec("GModes", 251, 0, ReservoirSpec.thermal(1e15))
+
+    @pytest.mark.parametrize("nbar", [1e-300, 0.2, 0.5, 3.7, 1e3, 1e9, 1e15])
+    def test_max_draw_is_the_largest_thermal_draw(self, nbar):
+        spec = ReservoirSpec.thermal(nbar)
+        assert spec._max_draw == int(spec._draw_block(np.array([1.0 - 2.0**-53]))[0])
+
 
 class TestRunScenario:
     def test_deterministic_single_mode(self):
@@ -198,6 +231,38 @@ class TestRunScenario:
         hi = run_scenario(spec(15_000), trial_offset=15_000)
         pooled_mean = (lo.mean * 15_000 + hi.mean * 15_000) / 30_000
         assert pooled_mean == full.mean
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        model=st.sampled_from(
+            [
+                dict(model="SingleMode", gain_G=3),
+                dict(model="GModes", gain_G=3),
+                dict(model="MultiStepSingle", step_gain_g=2, steps_N=2),
+                dict(model="MultiStepMulti", step_gain_g=2, steps_N=2),
+                dict(model="Shelving", gain_G=4, cavity_mode_count=2),
+                dict(model="Multiplexed", gain_G=2, mode_budget=2),
+            ]
+        ),
+        reservoir=st.sampled_from(
+            [ReservoirSpec.fock(2), ReservoirSpec.thermal(0.7), ReservoirSpec.empirical([0.5, 0.2, 0.3])]
+        ),
+        n_a=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=-(2**70), max_value=2**70),
+        trials=st.integers(min_value=2, max_value=_BLOCK + 64),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+    )
+    # both parts and the whole cross a generator block boundary
+    @example(dict(model="GModes", gain_G=3), ReservoirSpec.thermal(0.7), 1, 9, 2 * _BLOCK + 5, 0.6)
+    def test_power_sums_split_and_merge_exactly(self, model, reservoir, n_a, seed, trials, fraction):
+        split = 1 + round(fraction * (trials - 2))
+
+        def sums(count, offset):
+            spec = ScenarioSpec(input_n_a=n_a, reservoir=reservoir, trials=count, seed=seed, **model)
+            return _power_sums(spec, offset)
+
+        head, tail = sums(split, 0), sums(trials - split, split)
+        assert tuple(x + y for x, y in zip(head, tail)) == sums(trials, 0)
 
     @pytest.mark.parametrize(
         "model,kwargs",

@@ -22,7 +22,6 @@ from fockamp import (
     var_single_mode,
 )
 from fockamp.fock import default_cutoff
-from fockamp.noise import steps_for
 
 
 A0 = NumberStats(0.0, 0.0)
@@ -103,7 +102,6 @@ class TestMechanism:
     def test_constructors_fill_steps(self):
         m = Mechanism.multistep_multi(2, 5)
         assert (m.gain_G, m.step_gain_g, m.steps_N) == (32, 2, 5)
-        assert steps_for(32, 2) == 5
 
     def test_integer_gain_for_nonlinear_tags(self):
         with pytest.raises(ValueError):
