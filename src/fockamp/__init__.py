@@ -17,7 +17,6 @@ from .fock import (
     creation,
     default_cutoff,
     embed,
-    empirical_state,
     fock_state,
     identity,
     leakage,
@@ -60,7 +59,6 @@ from .filters import (
     HBAR_OVER_K,
     ThermalEnv,
     TransferPair,
-    amplification_frequency_gain,
     filtered_amplified_stats,
     filtered_output_operator,
     lorentzian_transfer,

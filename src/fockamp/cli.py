@@ -171,6 +171,8 @@ def cmd_snr_table(args) -> int:
 
 
 def _reservoir_from_config(cfg: dict) -> ReservoirSpec:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"reservoir must be a JSON object, got {cfg!r}")
     kind = cfg.get("kind")
     if kind == "fock":
         return ReservoirSpec.fock(cfg["n"])

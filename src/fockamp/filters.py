@@ -22,7 +22,6 @@ __all__ = [
     "lorentzian_transfer",
     "filtered_output_operator",
     "thermal_occupancy",
-    "amplification_frequency_gain",
     "filtered_amplified_stats",
     "read_transfer_table",
 ]
@@ -92,11 +91,6 @@ def thermal_occupancy(omega: float, env: ThermalEnv) -> float:
     if not omega > 0:
         raise ValueError(f"frequency must be positive, got {omega}")
     return 1.0 / math.expm1(env.ratio(omega))
-
-
-def amplification_frequency_gain(omega_in: float, omega_amp: float, env: ThermalEnv) -> float:
-    """Reservoir-occupancy suppression ratio nbar(omega_amp) / nbar(omega_in)."""
-    return thermal_occupancy(omega_amp, env) / thermal_occupancy(omega_in, env)
 
 
 def filtered_amplified_stats(

@@ -32,7 +32,6 @@ __all__ = [
     "embed",
     "fock_state",
     "thermal_state",
-    "empirical_state",
     "product_probs",
     "moments",
     "leakage",
@@ -230,19 +229,6 @@ def thermal_state(space: FockSpace, nbar: float) -> DiagonalState:
     q = nbar / (nbar + 1.0)
     weights = q ** np.arange(space.dim)
     return DiagonalState(space, weights / weights.sum())
-
-
-def empirical_state(space: FockSpace, probs: Sequence[float]) -> DiagonalState:
-    """State from a caller-supplied weight vector (renormalized)."""
-    weights = np.asarray(probs, dtype=float)
-    if weights.shape != (space.dim,):
-        raise ValueError(f"weight vector length {weights.shape} does not match dimension {space.dim}")
-    if np.any(weights < 0):
-        raise ValueError("weights must be nonnegative")
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("weights must not all vanish")
-    return DiagonalState(space, weights / total)
 
 
 StateLike = Union[DiagonalState, Sequence[DiagonalState]]

@@ -6,10 +6,11 @@ Every amplification model reduces to one closed-form combination per trial:
 
 with integer weights fixed by the model (per-step gain factors for cascades,
 all ones for parallel modes) and a deterministic signal of G excitations per
-input photon.  Draw (t, j) comes from a counter-based generator keyed on
-(seed, t, j), so trials are reproducible under any execution order or split,
-and all estimator sums are exact integer arithmetic, making the returned
-statistics bitwise deterministic.
+input photon.  Equal weights are kept as (w, m) classes, so the table has one
+entry per cascade step, not one per draw.  Draw (t, j) comes from a
+counter-based generator keyed on (seed, t, j), so trials are reproducible
+under any execution order or split, and all estimator sums are exact integer
+arithmetic, making the returned statistics bitwise deterministic.
 
 Reservoir draws use untruncated laws (the geometric law for thermal states),
 so this module is the truncation-free statistical oracle for the closed-form
@@ -18,7 +19,9 @@ variances.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -211,64 +214,61 @@ class ScenarioSpec:
             if budget < self.input_n_a:
                 raise ValueError(f"mode budget {budget} below input photon number {self.input_n_a}")
             object.__setattr__(self, "mode_budget", budget)
-        weights, signal = _weights_and_signal(self)
-        peak = signal + self.reservoir._max_draw * sum(weights)
+        classes = _weight_classes(self)
+        peak = self.gain_G * self.input_n_a + self.reservoir._max_draw * sum(m * w for w, m in classes)
         if peak >= 2**63:
             raise ValueError(f"a trial can count up to {peak} excitations, beyond the int64 range")
+        if sum(m * w * w for w, m in classes) > sys.float_info.max:
+            raise ValueError("the weight sum of squares behind the analytic variance is beyond the float range")
 
 
-def _weights_and_signal(spec: ScenarioSpec) -> tuple[list[int], int]:
-    """Per-draw weights and the deterministic signal count for one trial."""
-    big_g = spec.gain_G
-    n_a = spec.input_n_a
+def _weight_classes(spec: ScenarioSpec) -> list[tuple[int, int]]:
+    """(w, m) pairs in draw-slot order: m independent reservoir draws enter each trial with weight w."""
+    if spec.model in ("MultiStepSingle", "MultiStepMulti"):
+        # Step n feeds g**n fresh modes (one in the single-mode cascade) whose
+        # noise the remaining N-n steps amplify by g**(N-n); the multi-mode
+        # readout sums the g**N last-step modes.
+        g, n_steps = spec.step_gain_g, spec.steps_N
+        multi = spec.model == "MultiStepMulti"
+        return [(g ** (n_steps - n), g**n if multi else 1) for n in range(1, n_steps + 1)]
     if spec.model == "SingleMode":
-        return [1], big_g * n_a
+        return [(1, 1)]
     if spec.model == "GModes":
-        return [1] * big_g, big_g * n_a
-    if spec.model == "MultiStepSingle":
-        g, n_steps = spec.step_gain_g, spec.steps_N
-        return [g ** (n_steps - k) for k in range(1, n_steps + 1)], big_g * n_a
-    if spec.model == "MultiStepMulti":
-        # Step n feeds g**n fresh modes whose noise the remaining N-n steps
-        # amplify by g**(N-n); the final readout sums the g**N last-step modes.
-        g, n_steps = spec.step_gain_g, spec.steps_N
-        weights: list[int] = []
-        for n in range(1, n_steps + 1):
-            weights.extend([g ** (n_steps - n)] * (g**n))
-        return weights, big_g * n_a
+        return [(1, spec.gain_G)]
     if spec.model == "Multiplexed":
-        return [1] * (big_g * spec.mode_budget), big_g * n_a
+        return [(1, spec.gain_G * spec.mode_budget)]
     # Shelving: G fluorescence quanta per absorbed photon spread over the
     # cavity modes; each mode carries one independent reservoir draw, so one
     # mode reproduces SingleMode and G modes reproduce GModes, bitwise.
-    return [1] * spec.cavity_mode_count, big_g * n_a
+    return [(1, spec.cavity_mode_count)]
 
 
 def analytic_variance(spec: ScenarioSpec) -> float:
-    """Closed-form output variance at fixed n_a: sum(w^2) * var_b.
+    """Closed-form output variance at fixed n_a: sum(m * w^2) * var_b over the weight classes.
 
     Each independent reservoir draw enters with its integer weight w.  The
     per-mechanism formulas in ``noise`` are the independent check on this sum.
     """
-    weights, _ = _weights_and_signal(spec)
-    return sum(w * w for w in weights) * spec.reservoir.stats.variance
+    return sum(m * w * w for w, m in _weight_classes(spec)) * spec.reservoir.stats.variance
 
 
 def _power_sums(spec: ScenarioSpec, trial_offset: int) -> tuple[int, int, int, int]:
     """Exact integer sums of x, x^2, x^3, x^4 over all trial outputs."""
-    weights, signal = _weights_and_signal(spec)
+    classes = _weight_classes(spec)
+    signal = spec.gain_G * spec.input_n_a
+    if spec.reservoir.kind == "fock" or spec.reservoir._max_draw == 0:
+        # every draw is _max_draw, so every trial counts the same c
+        c = signal + spec.reservoir._max_draw * sum(m * w for w, m in classes)
+        return tuple(spec.trials * c**k for k in range(1, 5))
     s1 = s2 = s3 = s4 = 0
     done = 0
     while done < spec.trials:
         count = min(_BLOCK, spec.trials - done)
         start = trial_offset + done
         x = np.full(count, signal, dtype=np.int64)
-        for j, w in enumerate(weights):
-            if spec.reservoir.kind == "fock":
-                x += w * spec.reservoir.n
-            else:
-                u = _uniforms(spec.seed, j, start, count)
-                x += w * spec.reservoir._draw_block(u)
+        for j, w in enumerate(chain.from_iterable(repeat(w, m) for w, m in classes)):
+            u = _uniforms(spec.seed, j, start, count)
+            x += w * spec.reservoir._draw_block(u)
         xmax = int(x.max())
         if xmax > 0 and xmax**4 * count > 2**62:
             # fall back to exact big-int accumulation for extreme counts

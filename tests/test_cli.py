@@ -93,6 +93,17 @@ class TestMcCommand:
         single = [r for r in rows if r["model"] == "SingleMode"][0]
         assert single["variance"] == "0" and single["mean"] == "50"
 
+    def test_draw_free_deep_cascade_runs(self, capsys, tmp_path):
+        # the weights reach 2**69, past int64, but thermal(0) draws only zeros
+        scenario = {"model": "MultiStepSingle", "g": 2, "N": 70, "n_a": 0, "reservoir": {"kind": "thermal", "nbar": 0}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenarios": [scenario], "trials": 10}))
+        out_csv = tmp_path / "mc.csv"
+        code, _, _ = run_cli(capsys, "mc", "--config", str(cfg), "--out", str(out_csv))
+        assert code == 0
+        (row,) = read_rows(out_csv)
+        assert (row["mean"], row["variance"], row["analytic_variance"]) == ("0", "0", "0")
+
     def test_invalid_scenario_exits_before_sampling(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -262,6 +273,11 @@ class TestDeterminismAndConfig:
         ("mc", json.dumps({"scenarios": [{"model": "GModes", "G": 8, "reservoir": {"kind": "fock", "n": 2**61}}]}), []),
         ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 16, "n_a": 2**60}]}), []),
         ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 2, "reservoir": {"kind": "thermal", "nbar": 1e17}}]}), []),
+        # a reservoir that is not a JSON object
+        ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 2, "reservoir": 5}]}), []),
+        ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 2, "reservoir": []}]}), []),
+        # draw-free, but sum(m * w^2) = (4**600 - 1) / 3 is beyond the float range
+        ("mc", json.dumps({"scenarios": [{"model": "MultiStepSingle", "g": 2, "N": 600, "reservoir": {"kind": "fock", "n": 0}}]}), []),
     ]
 
     def test_bad_config_file_is_a_config_error(self, capsys, tmp_path):

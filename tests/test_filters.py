@@ -8,7 +8,6 @@ from fockamp import (
     NumberStats,
     ThermalEnv,
     TransferPair,
-    amplification_frequency_gain,
     filtered_amplified_stats,
     filtered_output_operator,
     fock_state,
@@ -104,19 +103,6 @@ class TestThermalOccupancy:
         logs = [math.log(thermal_occupancy(w, ENV)) for w in omega]
         slope = np.polyfit(omega, logs, 1)[0]
         assert slope == pytest.approx(-1.0, rel=1e-6)
-
-
-class TestFrequencyGain:
-    def test_same_frequency(self):
-        assert amplification_frequency_gain(3.0, 3.0, ENV) == 1.0
-
-    def test_doubling_from_hand_points(self):
-        ratio = amplification_frequency_gain(math.log(2.0), 2.0 * math.log(2.0), ENV)
-        assert ratio == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-    def test_deep_regime_is_exponential(self):
-        ratio = amplification_frequency_gain(20.0, 28.0, ENV)
-        assert ratio == pytest.approx(math.exp(-8.0), rel=0.01)
 
 
 class TestFilteredAmplifiedStats:

@@ -13,7 +13,6 @@ from fockamp import (
     commutator,
     default_cutoff,
     embed,
-    empirical_state,
     fock_state,
     identity,
     leakage,
@@ -150,12 +149,6 @@ class TestStates:
             DiagonalState(FockSpace(2), np.array([1.2, -0.2, 0.0]))
         with pytest.raises(ValueError):
             DiagonalState(FockSpace(3), np.array([1.0, 0.0]))
-
-    def test_empirical_state_renormalizes(self):
-        st = empirical_state(FockSpace(2), [2.0, 1.0, 1.0])
-        assert np.allclose(st.probs, [0.5, 0.25, 0.25])
-        with pytest.raises(ValueError):
-            empirical_state(FockSpace(2), [0.0, 0.0, 0.0])
 
 
 class TestMoments:

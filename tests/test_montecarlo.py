@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from fockamp import (
     var_multistep_single,
     var_single_mode,
 )
-from fockamp.montecarlo import _BLOCK, _power_sums
+from fockamp.montecarlo import _BLOCK, _power_sums, _uniforms
 
 
 def z_score(stats, target):
@@ -45,6 +46,35 @@ def closed_form_variance(spec):
     if spec.model == "Shelving":
         return spec.cavity_mode_count * b.variance
     return spec.gain_G * spec.mode_budget * b.variance  # Multiplexed
+
+
+def spelled_out_weights(spec):
+    """Every draw's weight written out in slot order: the sampler's (w, m) classes expanded."""
+    big_g = spec.gain_G
+    if spec.model == "SingleMode":
+        return [1]
+    if spec.model == "GModes":
+        return [1] * big_g
+    g, n_steps = spec.step_gain_g, spec.steps_N
+    if spec.model == "MultiStepSingle":
+        return [g ** (n_steps - k) for k in range(1, n_steps + 1)]
+    if spec.model == "MultiStepMulti":
+        weights = []
+        for n in range(1, n_steps + 1):
+            weights.extend([g ** (n_steps - n)] * (g**n))
+        return weights
+    if spec.model == "Multiplexed":
+        return [1] * (big_g * spec.mode_budget)
+    return [1] * spec.cavity_mode_count  # Shelving
+
+
+def brute_force_power_sums(spec, trial_offset):
+    """Draw every slot for every trial and sum x, x^2, x^3, x^4 in Python ints."""
+    x = [spec.gain_G * spec.input_n_a] * spec.trials
+    for j, w in enumerate(spelled_out_weights(spec)):
+        draws = spec.reservoir._draw_block(_uniforms(spec.seed, j, trial_offset, spec.trials)).tolist()
+        x = [v + w * d for v, d in zip(x, draws)]
+    return tuple(sum(v**k for v in x) for k in (1, 2, 3, 4))
 
 
 GAIN_GRID = {
@@ -191,6 +221,25 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="int64"):
             spec("GModes", 251, 0, ReservoirSpec.thermal(1e15))
 
+    def test_cascade_construction_is_linear_in_steps(self):
+        # 2**21 - 2 draws per trial, but only 20 weight classes are ever built
+        tracemalloc.start()
+        try:
+            spec = ScenarioSpec(
+                model="MultiStepMulti",
+                input_n_a=0,
+                reservoir=ReservoirSpec.thermal(0.1),
+                trials=1,
+                seed=1,
+                step_gain_g=2,
+                steps_N=20,
+            )
+            analytic_variance(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("nbar", [1e-300, 0.2, 0.5, 3.7, 1e3, 1e9, 1e15])
     def test_max_draw_is_the_largest_thermal_draw(self, nbar):
         spec = ReservoirSpec.thermal(nbar)
@@ -219,6 +268,20 @@ class TestRunScenario:
         assert other != first
         pooled_se = math.hypot(first.std_error_of_variance, other.std_error_of_variance)
         assert abs(other.variance - first.variance) <= 5 * pooled_se
+
+    @pytest.mark.parametrize(
+        "reservoir", [ReservoirSpec.fock(3), ReservoirSpec.thermal(0.0), ReservoirSpec.empirical([1.0])]
+    )
+    def test_draw_free_reservoir_never_reaches_the_generator(self, reservoir, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a reservoir that always draws the same count needs no uniforms")
+
+        monkeypatch.setattr("fockamp.montecarlo._uniforms", refuse)
+        spec = ScenarioSpec(
+            model="MultiStepMulti", input_n_a=2, reservoir=reservoir, trials=1000, seed=5, step_gain_g=2, steps_N=3
+        )
+        stats = run_scenario(spec)
+        assert (stats.mean, stats.variance) == (8 * 2 + reservoir._max_draw * (4 * 2 + 2 * 4 + 8), 0.0)
 
     def test_trial_splitting_pools_exactly(self):
         def spec(trials):
@@ -263,6 +326,40 @@ class TestRunScenario:
 
         head, tail = sums(split, 0), sums(trials - split, split)
         assert tuple(x + y for x, y in zip(head, tail)) == sums(trials, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(
+            [
+                dict(model="SingleMode", gain_G=3),
+                dict(model="GModes", gain_G=3),
+                dict(model="MultiStepSingle", step_gain_g=3, steps_N=3),
+                dict(model="MultiStepMulti", step_gain_g=2, steps_N=3),
+                dict(model="MultiStepMulti", step_gain_g=3, steps_N=2),
+                dict(model="Shelving", gain_G=4, cavity_mode_count=3),
+                dict(model="Multiplexed", gain_G=2),  # no draws at all when n_a = 0
+            ]
+        ),
+        reservoir=st.sampled_from(
+            [
+                ReservoirSpec.fock(0),
+                ReservoirSpec.fock(2),
+                ReservoirSpec.thermal(0.0),
+                ReservoirSpec.thermal(0.7),
+                ReservoirSpec.empirical([1.0]),
+                ReservoirSpec.empirical([0.5, 0.2, 0.3]),
+            ]
+        ),
+        n_a=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=-(2**70), max_value=2**70),
+        trials=st.integers(min_value=1, max_value=40),
+        offset=st.integers(min_value=0, max_value=2**40),
+    )
+    def test_power_sums_match_per_slot_brute_force(self, model, reservoir, n_a, seed, trials, offset):
+        spec = ScenarioSpec(input_n_a=n_a, reservoir=reservoir, trials=trials, seed=seed, **model)
+        assert _power_sums(spec, offset) == brute_force_power_sums(spec, offset)
+        weights = spelled_out_weights(spec)
+        assert analytic_variance(spec) == sum(w * w for w in weights) * reservoir.stats.variance
 
     @pytest.mark.parametrize(
         "model,kwargs",
