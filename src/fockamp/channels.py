@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+COMMUTATOR_TOL = 1e-12  # check_pegg_barnett's largest accepted entry deviation
 
 
 def _band(mat: np.ndarray, offset: int) -> np.ndarray:
@@ -89,7 +90,7 @@ class CommutatorCheck:
     max_deviation: float
 
 
-def check_pegg_barnett(comm: OperatorMatrix, space_b: FockSpace, tol: float = 1e-12) -> CommutatorCheck:
+def check_pegg_barnett(comm: OperatorMatrix, space_b: FockSpace) -> CommutatorCheck:
     """Verify [b_out, b_out^dag] = 1 - (s_b+1)|s_b><s_b| within every a-number sector.
 
     The ideal commutator on the (b, a) product space is the identity minus a
@@ -106,7 +107,7 @@ def check_pegg_barnett(comm: OperatorMatrix, space_b: FockSpace, tol: float = 1e
     expected = np.eye(side, dtype=complex)
     _band(expected, 0)[space_b.cutoff * dim_a :] -= space_b.cutoff + 1
     dev = float(np.max(np.abs(comm.mat - expected)))
-    return CommutatorCheck(dev <= tol, dev)
+    return CommutatorCheck(dev <= COMMUTATOR_TOL, dev)
 
 
 def _lowered_fill(space: FockSpace) -> np.ndarray:

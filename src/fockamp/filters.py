@@ -90,7 +90,10 @@ def thermal_occupancy(omega: float, env: ThermalEnv) -> float:
     """Bose-Einstein mean occupation 1/(exp(hbar*omega/kT) - 1)."""
     if not omega > 0:
         raise ValueError(f"frequency must be positive, got {omega}")
-    return 1.0 / math.expm1(env.ratio(omega))
+    denom = math.expm1(env.ratio(omega))
+    if denom == 0.0 or 1.0 / denom == math.inf:
+        raise ValueError(f"occupancy at frequency {omega} is not finite")
+    return 1.0 / denom
 
 
 def filtered_amplified_stats(

@@ -42,6 +42,7 @@ __all__ = [
 
 LEAKAGE_TOP_LEVELS = 3
 LEAKAGE_TOL = 1e-10
+MAX_CUTOFF = 100_000  # settle_cutoff gives up beyond this
 
 
 class TruncationError(RuntimeError):
@@ -159,10 +160,13 @@ class NumberStats:
     variance: float
 
     def __post_init__(self):
-        if self.variance < -1e-9:
-            raise ValueError(f"variance must be nonnegative, got {self.variance}")
-        object.__setattr__(self, "variance", max(float(self.variance), 0.0))
-        object.__setattr__(self, "mean", float(self.mean))
+        mean, variance = float(self.mean), float(self.variance)
+        if not (math.isfinite(mean) and math.isfinite(variance)):
+            raise ValueError(f"mean and variance must be finite, got ({mean}, {variance})")
+        if variance < -1e-9:
+            raise ValueError(f"variance must be nonnegative, got {variance}")
+        object.__setattr__(self, "variance", max(variance, 0.0))
+        object.__setattr__(self, "mean", mean)
 
 
 def annihilation(space: FockSpace) -> OperatorMatrix:
@@ -209,7 +213,8 @@ def embed(op: OperatorMatrix, factor_index: int, full_shape: Sequence[FockSpace]
 
 
 def fock_state(space: FockSpace, n: int) -> DiagonalState:
-    if not 0 <= n <= space.cutoff:
+    n = _check_integer(n, "occupation", 0)
+    if n > space.cutoff:
         raise ValueError(f"occupation {n} exceeds cutoff {space.cutoff}")
     probs = np.zeros(space.dim)
     probs[n] = 1.0
@@ -265,7 +270,8 @@ def moments(state: StateLike, observable: OperatorMatrix) -> NumberStats:
 
 def leakage(state: DiagonalState, top_k: int) -> float:
     """Total probability in the ``top_k`` highest number states."""
-    if not 0 <= top_k <= state.space.dim:
+    top_k = _check_integer(top_k, "top_k", 0)
+    if top_k > state.space.dim:
         raise ValueError(f"top_k must lie in [0, {state.space.dim}], got {top_k}")
     if top_k == 0:
         return 0.0
@@ -282,28 +288,22 @@ def default_cutoff(n_b_mean: float, n_b_var: float, gain: float, n_a_max: int) -
     return math.ceil(n_b_mean + gain * n_a_max + 10.0 * math.sqrt(n_b_var + 1.0) + 10.0)
 
 
-def check_truncation(*states: DiagonalState, top_levels: int = LEAKAGE_TOP_LEVELS, tol: float = LEAKAGE_TOL):
-    """Abort when any state leaks more than ``tol`` into its top levels."""
+def check_truncation(*states: DiagonalState):
+    """Abort when any state leaks more than LEAKAGE_TOL into its top LEAKAGE_TOP_LEVELS levels."""
     for st in states:
-        k = min(top_levels, st.space.dim)
+        k = min(LEAKAGE_TOP_LEVELS, st.space.dim)
         leak = leakage(st, k)
-        if leak > tol:
+        if leak > LEAKAGE_TOL:
             raise TruncationError(
-                f"cutoff {st.space.cutoff} inadequate: top-{k} leakage {leak:.3e} exceeds {tol:.0e}"
+                f"cutoff {st.space.cutoff} inadequate: top-{k} leakage {leak:.3e} exceeds {LEAKAGE_TOL:.0e}"
             )
 
 
-def settle_cutoff(
-    build_state: Callable[[int], DiagonalState],
-    start: int,
-    top_levels: int = LEAKAGE_TOP_LEVELS,
-    tol: float = LEAKAGE_TOL,
-    max_cutoff: int = 100_000,
-) -> int:
+def settle_cutoff(build_state: Callable[[int], DiagonalState], start: int) -> int:
     """Grow a cutoff from ``start`` until the leakage guard passes for the state."""
-    s = max(start, top_levels)
-    while s <= max_cutoff:
-        if leakage(build_state(s), top_levels) <= tol:
+    s = max(start, LEAKAGE_TOP_LEVELS)
+    while s <= MAX_CUTOFF:
+        if leakage(build_state(s), LEAKAGE_TOP_LEVELS) <= LEAKAGE_TOL:
             return s
         s = max(s + 8, int(1.5 * s))
-    raise TruncationError(f"no adequate cutoff at or below {max_cutoff}")
+    raise TruncationError(f"no adequate cutoff at or below {MAX_CUTOFF}")

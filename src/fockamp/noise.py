@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -169,12 +170,15 @@ def var_multistep_multi(total_gain: int, step_gain: int, a: NumberStats, b: Numb
     return big_g * (big_g - 1.0) / (g - 1.0) * b.variance + big_g * big_g * a.variance
 
 
-def _check_snr_inputs(n_a, dn_b):
-    """The signal and noise scale of ``snr``: n_a finite and >= 1, dn_b finite and >= 0."""
-    if not 1 <= n_a < math.inf:
-        raise ValueError(f"n_a must be finite and >= 1, got {n_a}")
+def _check_snr_inputs(n_a, dn_b) -> int:
+    """The signal and noise scale of ``snr``, n_a as an int: n_a an integer >= 1 within the float range,
+    dn_b finite and >= 0."""
+    n_a = _check_integer(n_a, "n_a", 1)
+    if n_a > sys.float_info.max:
+        raise ValueError("n_a is beyond the float range")
     if not 0.0 <= dn_b < math.inf:
         raise ValueError(f"dn_b must be finite and nonnegative, got {dn_b}")
+    return n_a
 
 
 def snr(mechanism: Mechanism, n_a: int, dn_b: float) -> float:
@@ -184,7 +188,7 @@ def snr(mechanism: Mechanism, n_a: int, dn_b: float) -> float:
     when the noise denominator vanishes (zero-noise reservoir, or G = 1 for the
     linear mechanisms, where no noise is added at all).
     """
-    _check_snr_inputs(n_a, dn_b)
+    n_a = _check_snr_inputs(n_a, dn_b)
     g_tot = mechanism.gain_G
     tag = mechanism.tag
     if tag == "PhaseSensitive":

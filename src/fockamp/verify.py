@@ -15,17 +15,16 @@ import numpy as np
 
 from . import channels, filters, noise
 from .fock import (
-    DiagonalState,
     FockSpace,
     NumberStats,
     OperatorMatrix,
     TruncationError,
+    _check_integer,
     annihilation,
     check_truncation,
     default_cutoff,
     embed,
     fock_state,
-    identity,
     leakage,
     moments,
     number_op,
@@ -46,10 +45,21 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerifyConfig:
+    """Settings of one verify run; an invalid value raises ValueError on construction."""
+
     cutoff: Optional[int] = None  # overrides the heuristic when set
     gain: Optional[float] = None
     seed: int = 2024
     fixed_phase: Optional[float] = None
+
+    def __post_init__(self):
+        phase = None if self.fixed_phase is None else float(self.fixed_phase)
+        if phase is not None and not math.isfinite(phase):
+            raise ValueError(f"fixed_phase must be finite, got {phase}")
+        object.__setattr__(self, "fixed_phase", phase)
+        object.__setattr__(self, "cutoff", None if self.cutoff is None else _check_integer(self.cutoff, "cutoff", 0))
+        object.__setattr__(self, "gain", None if self.gain is None else noise._check_real_gain(self.gain))
+        object.__setattr__(self, "seed", _check_integer(self.seed, "seed"))
 
 
 def _thermal_space(nbar: float, gain: float, n_a_max: int, override: Optional[int]) -> FockSpace:
@@ -68,13 +78,10 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
     checks: list[tuple[str, Callable[[], tuple[bool, str]]]] = []
     rng = np.random.default_rng(cfg.seed)
     gain = cfg.gain if cfg.gain is not None else 3.0
+    g_int = round(gain)  # the nearest integer gain, >= 1 since gain is
 
-    def check(name):
-        def deco(fn):
-            checks.append((name, fn))
-            return fn
-
-        return deco
+    def check(name):  # registers the decorated function as the check called ``name``
+        return lambda fn: checks.append((name, fn))
 
     # ---------------------------------------------------------------- fock core
 
@@ -147,10 +154,7 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
     @check("truncation guard at configured cutoff")
     def _():
         sp = _thermal_space(1.0, gain, 2, cfg.cutoff)
-        try:
-            check_truncation(thermal_state(sp, 1.0))
-        except TruncationError as exc:
-            return False, str(exc)
+        check_truncation(thermal_state(sp, 1.0))
         return True, f"cutoff {sp.cutoff} passes the top-3 leakage guard"
 
     # ------------------------------------------------------------ amp channels
@@ -166,7 +170,6 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
     @check("nonlinear output-number identity")
     def _():
         worst = 0.0
-        g_int = max(1, int(round(gain)))
         for s_b, s_a in ((25, 4), (12, 8)):
             sb, sa = FockSpace(s_b), FockSpace(s_a)
             bout = channels.nonlinear_bout(sb, sa, g_int, 0.35)
@@ -220,7 +223,6 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
     @check("idealized transfer map bookkeeping")
     def _():
         seen = set()
-        g_int = max(1, int(round(gain)))
         for n in range(3):
             for m in range(12):
                 for nn in range(6):
@@ -243,42 +245,30 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
 
     @check("phase-insensitive variance matches the matrix oracle")
     def _():
-        try:
-            sa = _thermal_space(0.0, gain, 1, cfg.cutoff)
-            sb = _thermal_space(0.6, gain, 1, cfg.cutoff)
-            rho_a, rho_b = fock_state(sa, 1), thermal_state(sb, 0.6)
-            check_truncation(rho_a, rho_b)
-            op = channels.caves_number_out(sa, sb, gain)
-            mc = moments([rho_a, rho_b], op)
-            an = noise.var_caves(gain, rho_a.number_stats(), rho_b.number_stats())
-        except TruncationError as exc:
-            return False, str(exc)
+        sa = _thermal_space(0.0, gain, 1, cfg.cutoff)
+        sb = _thermal_space(0.6, gain, 1, cfg.cutoff)
+        rho_a, rho_b = fock_state(sa, 1), thermal_state(sb, 0.6)
+        check_truncation(rho_a, rho_b)
+        mc = moments([rho_a, rho_b], channels.caves_number_out(sa, sb, gain))
+        an = noise.var_caves(gain, rho_a.number_stats(), rho_b.number_stats())
         err = _rel_err(mc.variance, an)
         return err <= 1e-8, f"relative error {err:.2e} at G = {gain:g}"
 
     @check("phase-sensitive variance matches the matrix oracle")
     def _():
-        try:
-            sa = _thermal_space(0.6, 2.0 * gain, 1, cfg.cutoff)
-            rho_a = thermal_state(sa, 0.6)
-            check_truncation(rho_a)
-            mc = moments(rho_a, channels.phase_sensitive_number_out(sa, gain))
-            an = noise.var_phase_sensitive(gain, rho_a.number_stats())
-        except TruncationError as exc:
-            return False, str(exc)
+        sa = _thermal_space(0.6, 2.0 * gain, 1, cfg.cutoff)
+        rho_a = thermal_state(sa, 0.6)
+        check_truncation(rho_a)
+        mc = moments(rho_a, channels.phase_sensitive_number_out(sa, gain))
+        an = noise.var_phase_sensitive(gain, rho_a.number_stats())
         err = _rel_err(mc.variance, an)
         return err <= 1e-8, f"relative error {err:.2e} at G = {gain:g}"
 
     @check("single-mode variance exact through the operator identity")
     def _():
-        g_int = max(1, int(round(gain)))
-        sb = _thermal_space(1.0, g_int, 2, cfg.cutoff)
-        sa = FockSpace(4)
-        try:
-            rho_b, rho_a = thermal_state(sb, 1.0), fock_state(sa, 2)
-            check_truncation(rho_b)
-        except TruncationError as exc:
-            return False, str(exc)
+        sb, sa = _thermal_space(1.0, g_int, 2, cfg.cutoff), FockSpace(4)
+        rho_b, rho_a = thermal_state(sb, 1.0), fock_state(sa, 2)
+        check_truncation(rho_b)
         bout = channels.nonlinear_bout(sb, sa, g_int, 0.0)
         mc = moments([rho_b, rho_a], bout.dagger() @ bout)
         an = noise.var_single_mode(g_int, rho_a.number_stats(), rho_b.number_stats())
@@ -395,6 +385,8 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
     for name, fn in checks:
         try:
             passed, detail = fn()
+        except TruncationError as exc:  # an inadequate cutoff fails its check with the guard's message
+            passed, detail = False, str(exc)
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(CheckResult(name, bool(passed), detail))

@@ -1,8 +1,13 @@
+import contextlib
 import csv
+import io
+import itertools
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockamp import Mechanism, snr
 from fockamp.cli import main
@@ -278,14 +283,104 @@ class TestDeterminismAndConfig:
         ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 2, "reservoir": []}]}), []),
         # draw-free, but sum(m * w^2) = (4**600 - 1) / 3 is beyond the float range
         ("mc", json.dumps({"scenarios": [{"model": "MultiStepSingle", "g": 2, "N": 600, "reservoir": {"kind": "fock", "n": 0}}]}), []),
+        # a 400-digit integer in a float field of each command
+        ("verify", json.dumps({"gain": 10**400}), []),
+        ("snr-table", json.dumps({"dn_b": 10**400}), []),
+        ("mc", json.dumps({"scenarios": [{"model": "GModes", "G": 2, "reservoir": {"kind": "thermal", "nbar": 10**400}}]}), []),
+        ("filter-scan", json.dumps({"temperature": 10**400}), []),
+        ("shelving-demo", json.dumps({"nbar": 10**400}), []),
+        # an output path that is not a non-empty string
+        ("snr-table", json.dumps({"out": 5}), []),
+        ("mc", json.dumps({"out": []}), []),
+        ("filter-scan", json.dumps({"out": ""}), []),
+        # malformed snr-table mechanisms and grids
+        ("snr-table", json.dumps({"mechanisms": [{"tag": "Bogus"}]}), []),
+        ("snr-table", json.dumps({"mechanisms": [{"tag": "MultiStepSingleMode"}]}), []),  # a cascade without g
+        ("snr-table", json.dumps({"mechanisms": [{"tag": "MultiStepMultiMode", "g": 1}]}), []),
+        ("snr-table", json.dumps({"mechanisms": [{"tag": "MultiStepMultiMode", "g": 2.5}]}), []),
+        ("snr-table", json.dumps({"mechanisms": ["SingleMode"]}), []),
+        ("snr-table", json.dumps({"grid": ["8"]}), []),
+        ("snr-table", json.dumps({"grid": [None]}), []),
+        ("snr-table", json.dumps({"grid": [[2]]}), []),
+        ("snr-table", json.dumps({"grid": [{"G": 2}]}), []),
+        ("snr-table", json.dumps({"grid": [True]}), []),
+        ("snr-table", json.dumps({"grid": {"G": 2}}), []),
+        # filter-scan: no points, a table that is not a path, an occupancy beyond the float range
+        ("filter-scan", json.dumps({"points": 0}), []),
+        ("filter-scan", json.dumps({"table": ""}), []),
+        ("filter-scan", json.dumps({"table": []}), []),
+        ("filter-scan", json.dumps({"table": 0}), []),
+        ("filter-scan", json.dumps({"table": False}), []),
+        ("filter-scan", json.dumps({"omega_amp": 1e-320}), []),
+        ("filter-scan", json.dumps({"omega_amp": 1e-300}), []),
     ]
 
-    def test_bad_config_file_is_a_config_error(self, capsys, tmp_path):
+    def test_bad_config_file_is_a_config_error(self, capsys, tmp_path, monkeypatch):
+        # no --out flag, so that a config's own "out" is read; any CSV would land under tmp_path
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("FOCKAMP_OUT_DIR", str(tmp_path / "out"))
         for k, (command, text, extra) in enumerate(self.CONFIG_ERRORS):
             cfg = tmp_path / f"broken{k}.json"
             cfg.write_text(text)
-            out_csv = tmp_path / f"out{k}.csv"
-            code, _, err = run_cli(capsys, command, "--config", str(cfg), *extra, "--out", str(out_csv))
+            code, _, err = run_cli(capsys, command, "--config", str(cfg), *extra)
             assert code == 2, (command, text, extra)
             assert "configuration error" in err
-            assert not out_csv.exists()
+            assert not list(tmp_path.rglob("*.csv")), (command, text, extra)
+
+
+# JSON-shaped garbage: small integers, odd floats, null, bools, names that are valid somewhere
+# in a config, and lists and objects of these; sizes stay small (trials, N <= 4) so that
+# every valid draw runs in milliseconds
+_WORDS = ["", "x", "fock", "thermal", "empirical", "SingleMode", "GModes", "MultiStepSingle", "MultiStepMulti",
+          "Shelving", "Multiplexed", "MultiStepSingleMode", "MultiStepMultiMode", "PhaseInsensitive", "PhaseSensitive"]
+_KEYS = ["model", "tag", "kind", "G", "g", "N", "n_a", "n", "nbar", "probs", "reservoir", "cavity_modes",
+         "mode_budget", "trials", "seed"]
+_SCALARS = st.one_of(
+    st.integers(min_value=-1, max_value=4),
+    st.sampled_from([1.5, math.nan, math.inf, 1e-320, None, True, False]),
+    st.sampled_from(_WORDS),
+)
+_JSONISH = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4)),
+    max_leaves=8,
+)
+_TOP = st.one_of(_JSONISH, st.just(10**400))
+# a trial count of 10**400 is a valid config that would run for ever, so trials stay small
+_FIELDS = {"trials": _JSONISH, "grid": st.one_of(_TOP, st.lists(st.one_of(_SCALARS, st.just(10**400)), max_size=3))}
+_BASE = {"mc": {"trials": 3}, "shelving-demo": {"trials": 3}}
+# the config keys each command reads
+_CONFIG_KEYS = {
+    "verify": ["cutoff", "fixed_phase", "gain", "seed"],
+    "snr-table": ["dn_b", "grid", "mechanisms", "n_a", "out"],
+    "mc": ["out", "scenarios", "seed", "trials"],
+    "filter-scan": ["cutoff_c", "gain", "gamma", "n_a", "omega0", "omega_amp", "omega_max", "omega_min", "out",
+                    "points", "table", "temperature"],
+    "shelving-demo": ["gain", "n_a", "nbar", "out", "seed", "trials"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CONFIG_KEYS))
+def test_garbage_config_exits_cleanly(command, tmp_path, monkeypatch):
+    keys = _CONFIG_KEYS[command]
+    allowed = {0, 1, 2} if command == "verify" else {0, 2}
+    runs = itertools.count()
+
+    @settings(max_examples=8 if command == "verify" else 40, deadline=None, derandomize=True)
+    @given(config=st.fixed_dictionaries({}, optional={key: _FIELDS.get(key, _TOP) for key in keys}))
+    def check(config):
+        work = tmp_path / f"run{next(runs)}"
+        work.mkdir()
+        monkeypatch.chdir(work)  # a relative "out" or "table" resolves in here
+        monkeypatch.setenv("FOCKAMP_OUT_DIR", str(work))
+        cfg = tmp_path / f"{work.name}.json"
+        cfg.write_text(json.dumps({**_BASE.get(command, {}), **config}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg)])
+        assert code in allowed
+        if code == 2:
+            assert "configuration error" in err.getvalue()
+            assert not list(work.iterdir())
+
+    check()

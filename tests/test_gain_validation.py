@@ -21,9 +21,11 @@ from fockamp import (
     filtered_amplified_stats,
     fock_state,
     ideal_schrodinger_map,
+    leakage,
     nonlinear_bout,
     phase_sensitive_number_out,
     snr,
+    thermal_state,
     var_caves,
     var_g_modes,
     var_multistep_multi,
@@ -32,6 +34,7 @@ from fockamp import (
     var_single_mode,
 )
 from fockamp.noise import MECHANISM_TAGS, gain_structure
+from fockamp.verify import VerifyConfig
 
 SP = FockSpace(2)
 B = NumberStats(0.5, 0.75)
@@ -60,6 +63,7 @@ ENTRY_POINTS = {
     "filtered_amplified_stats": lambda g: filtered_amplified_stats(
         TransferPair(1.0, 1.0 + 0j, 0j), fock_state(SP, 1), fock_state(SP, 0), g, B
     ),
+    "VerifyConfig.gain": lambda g: VerifyConfig(gain=g),
 }
 
 BAD_GAINS = st.one_of(
@@ -121,6 +125,11 @@ INTEGER_ENTRY_POINTS = {
     "ideal_schrodinger_map.n": (lambda k: ideal_schrodinger_map(k, 1000, 0, 2), 0),
     "ideal_schrodinger_map.M": (lambda k: ideal_schrodinger_map(0, k, 0, 2), 0),
     "ideal_schrodinger_map.N": (lambda k: ideal_schrodinger_map(1, 5, k, 2), 0),
+    "fock_state.n": (lambda k: fock_state(FockSpace(8), k), 0),
+    "leakage.top_k": (lambda k: leakage(thermal_state(FockSpace(8), 1.0), k), 0),
+    "snr.n_a": (lambda k: snr(Mechanism.single_mode(2), k, 1.0), 1),
+    "VerifyConfig.cutoff": (lambda k: VerifyConfig(cutoff=k), 0),
+    "VerifyConfig.seed": (lambda k: VerifyConfig(seed=k), None),
 }
 
 NOT_INTEGERS = st.one_of(
@@ -159,7 +168,15 @@ def test_integral_float_reads_as_the_int(name, offset):
 
 
 def test_reported_integer_cases():
-    for call in (lambda: ReservoirSpec.fock(1.5), lambda: FockSpace(True), lambda: ideal_schrodinger_map(True, 5, 0, 2)):
+    for call in (
+        lambda: ReservoirSpec.fock(1.5),
+        lambda: FockSpace(True),
+        lambda: ideal_schrodinger_map(True, 5, 0, 2),
+        lambda: fock_state(SP, True),
+        lambda: leakage(fock_state(SP, 0), True),
+        lambda: snr(Mechanism.single_mode(2), 1.5, 1.0),
+        lambda: snr(Mechanism.single_mode(2), True, 1.0),
+    ):
         with pytest.raises(ValueError):
             call()
     spec = _scenario(gain_G=4.0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fockamp import (
     DiagonalState,
     FockSpace,
+    NumberStats,
     ReservoirSpec,
     ThermalEnv,
     TransferPair,
@@ -77,7 +78,16 @@ def test_lorentzian_rejects_bad_linewidth(gamma):
 
 
 @settings(max_examples=40, deadline=None)
-@given(omega=st.one_of(st.just(math.nan), st.floats(max_value=0.0)))
+@given(omega=st.one_of(st.sampled_from([math.nan, 1e-320, 1e-300]), st.floats(max_value=0.0)))
 def test_thermal_occupancy_rejects_bad_frequency(omega):
+    # 1e-320 and 1e-300 are positive, but their occupancy at 300 K is beyond the float range
     with pytest.raises(ValueError):
         thermal_occupancy(omega, ThermalEnv(300.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(bad=NON_FINITE, which=st.sampled_from(["mean", "variance"]))
+def test_number_stats_rejects_non_finite_moments(bad, which):
+    fields = {"mean": 1.0, "variance": 2.0, which: bad}
+    with pytest.raises(ValueError):
+        NumberStats(**fields)
