@@ -60,7 +60,6 @@ from .filters import (
     ThermalEnv,
     TransferPair,
     filtered_amplified_stats,
-    filtered_output_operator,
     lorentzian_transfer,
     read_transfer_table,
     thermal_occupancy,

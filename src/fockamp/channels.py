@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace, OperatorMatrix, _check_integer
-from .noise import _check_real_gain
+from .noise import _check_real_gain, gain_structure
 
 __all__ = [
     "shift_operator",
@@ -63,7 +63,7 @@ def nonlinear_bout(
     involved.  The gain must be an integer: the scheme transfers G excitations
     per input photon between number states.
     """
-    g = _check_integer(gain, "gain", 1)
+    g = gain_structure(gain)[0]
     dim_a = space_a.dim
     n_b = np.arange(space_b.dim)
     n_a = np.arange(dim_a)
@@ -182,7 +182,7 @@ def ideal_schrodinger_map(
     Requires M >= G n: the G n excitations delivered to the monitored reservoir
     are drawn from the supply reservoir, so it must hold at least that many.
     """
-    g = _check_integer(gain, "gain", 1)
+    g = gain_structure(gain)[0]
     n, M, N = (_check_integer(value, name, 0) for name, value in (("n", n), ("M", M), ("N", N)))
     if M < g * n:
         raise ValueError(f"supply reservoir too small: M = {M} < G*n = {g * n}")

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import filters, noise
-from .fock import FockSpace, NumberStats, _check_integer, fock_state
+from .fock import NumberStats, _check_integer
 from .montecarlo import ReservoirSpec, ScenarioSpec, _power_sums, _stats_from_power_sums, analytic_variance, run_scenario
 from .verify import VerifyConfig, run_checks
 
@@ -223,11 +223,11 @@ def _parse_filter_scan(cfg: dict) -> Callable[[], int]:
     env = filters.ThermalEnv(float(cfg["temperature"]))
     nbar_amp = filters.thermal_occupancy(float(cfg["omega_amp"]), env)
     b_env = NumberStats(nbar_amp, nbar_amp * (nbar_amp + 1.0))
-    gain = _check_integer(cfg["gain"], "gain", 1)
-    float(gain) ** 2  # OverflowError unless G^2, the factor of the filtered variance, is a finite float
+    gain = noise.gain_structure(cfg["gain"])[0]
     n_a = _check_integer(cfg["n_a"], "n_a", 0)
-    rho_a = fock_state(FockSpace(max(n_a, 1)), n_a)
-    rho_c = fock_state(FockSpace(cfg["cutoff_c"]), 0)
+    if float(gain) ** 2 * n_a == math.inf:  # bounds the filtered variance; OverflowError past the float range
+        raise ConfigError("G^2 * n_a is beyond the float range")
+    a, vacuum = NumberStats(n_a, 0.0), NumberStats(0.0, 0.0)
     if cfg["table"] is not None:
         pairs = filters.read_transfer_table(cfg["table"])
     else:
@@ -241,7 +241,7 @@ def _parse_filter_scan(cfg: dict) -> Callable[[], int]:
     def run() -> int:
         rows = []
         for tp in pairs:
-            out = filters.filtered_amplified_stats(tp, rho_a, rho_c, gain, b_env)
+            out = filters.filtered_amplified_stats(tp, a, vacuum, gain, b_env)
             signal = out.mean - b_env.mean
             snr_value = signal / math.sqrt(out.variance) if out.variance > 0 else math.inf
             rows.append([tp.omega, abs(tp.T) ** 2, abs(tp.R) ** 2, nbar_amp, snr_value])
@@ -274,7 +274,6 @@ def _parse_shelving_demo(cfg: dict) -> Callable[[], int]:
     path = _out_path(cfg, "shelving_demo.csv")
 
     def run() -> int:
-        var_b = reservoir.stats.variance
         rows = []
         for spec in specs:
             modes = spec.cavity_mode_count
@@ -283,7 +282,8 @@ def _parse_shelving_demo(cfg: dict) -> Callable[[], int]:
             # an n_a = 0 run would reuse these draws, so its sum is exactly s1 - trials * G * n_a
             background_mean = (s1 - spec.trials * gain * n_a) / spec.trials
             snr_mc = (stats.mean - background_mean) / math.sqrt(stats.variance) if stats.variance > 0 else math.inf
-            snr_analytic = gain * n_a / math.sqrt(modes * var_b) if var_b > 0 else math.inf
+            variance = analytic_variance(spec)
+            snr_analytic = gain * n_a / math.sqrt(variance) if variance > 0 else math.inf
             rows.append(
                 [modes, gain, n_a, reservoir.label, spec.trials, spec.seed, stats.mean, stats.variance, snr_mc, snr_analytic]
             )
@@ -346,7 +346,6 @@ _COMMANDS = {
             "temperature": 300.0,
             "gain": 100,
             "n_a": 1,
-            "cutoff_c": 0,
             "table": None,
             "out": None,
         },

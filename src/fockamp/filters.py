@@ -1,10 +1,11 @@
 """Lossless pre-amplification frequency filtering and thermal-noise suppression.
 
 A filter is a pointwise pair of transmission/reflection amplitudes with
-|T|^2 + |R|^2 = 1; the filtered mode then feeds the single-mode amplifier at an
-independent (typically much higher) frequency, where the reservoir occupancy is
-Bose-Einstein suppressed.  Frequencies enter the occupancy only through the
-dimensionless ratio hbar*omega / (k_B * temperature).
+|T|^2 + |R|^2 = 1 that mixes the input mode a with an internal mode c,
+a_out = T a + R c; the filtered count's moments are exact closed forms, with
+nothing truncated.  It then feeds the single-mode amplifier at an independent
+(typically much higher) frequency, where the reservoir occupancy is
+Bose-Einstein suppressed; frequencies enter it only through hbar*omega / (k_B T).
 """
 from __future__ import annotations
 
@@ -13,14 +14,14 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fock import DiagonalState, FockSpace, NumberStats, OperatorMatrix, _check_integer, annihilation, identity, moments, tensor
+from .fock import NumberStats
+from .noise import gain_structure, var_single_mode
 
 __all__ = [
     "HBAR_OVER_K",
     "TransferPair",
     "ThermalEnv",
     "lorentzian_transfer",
-    "filtered_output_operator",
     "thermal_occupancy",
     "filtered_amplified_stats",
     "read_transfer_table",
@@ -54,7 +55,6 @@ class ThermalEnv:
     """Temperature of the detector environment (kelvin)."""
 
     temperature: float
-    hbar_over_k: float = HBAR_OVER_K
 
     def __post_init__(self):
         if not 0 < self.temperature < math.inf:
@@ -62,7 +62,7 @@ class ThermalEnv:
 
     def ratio(self, omega: float) -> float:
         """Dimensionless hbar*omega / (k_B T)."""
-        return self.hbar_over_k * omega / self.temperature
+        return HBAR_OVER_K * omega / self.temperature
 
 
 def lorentzian_transfer(omega: float, omega0: float, gamma: float) -> TransferPair:
@@ -78,14 +78,6 @@ def lorentzian_transfer(omega: float, omega0: float, gamma: float) -> TransferPa
     return TransferPair(omega, complex((gamma / 2.0) / denom), complex(1j * (omega - omega0) / denom))
 
 
-def filtered_output_operator(space_a: FockSpace, space_c: FockSpace, tp: TransferPair) -> OperatorMatrix:
-    """Number operator of the filtered mode a_out = T a + R c on the (a, c) space."""
-    a_out = tp.T * tensor(annihilation(space_a), identity(space_c)) + tp.R * tensor(
-        identity(space_a), annihilation(space_c)
-    )
-    return a_out.dagger() @ a_out
-
-
 def thermal_occupancy(omega: float, env: ThermalEnv) -> float:
     """Bose-Einstein mean occupation 1/(exp(hbar*omega/kT) - 1)."""
     if not omega > 0:
@@ -96,18 +88,22 @@ def thermal_occupancy(omega: float, env: ThermalEnv) -> float:
     return 1.0 / denom
 
 
-def filtered_amplified_stats(
-    tp: TransferPair, a: DiagonalState, c: DiagonalState, gain: int, b_env: NumberStats
-) -> NumberStats:
+def filtered_amplified_stats(tp: TransferPair, a: NumberStats, c: NumberStats, gain: int, b_env: NumberStats) -> NumberStats:
     """Output-count statistics of filter-then-amplify into a single mode.
 
-    The filtered photon number (exact moments of the two-mode operator) is
-    amplified by integer G into a reservoir with the given occupation
-    statistics: mean = nbar_b + G*mean_f, variance = var_b + G^2*var_f.
+    Independent number-diagonal modes ``a`` (input) and ``c`` (internal) give the
+    filtered count exact moments (Campos, Saleh & Teich, PRA 40, 1371, 1989):
+    mean_f = |T|^2 mean_a + |R|^2 mean_c and var_f = |T|^4 var_a + |R|^4 var_c
+    + |T|^2 |R|^2 (mean_a (mean_c + 1) + mean_c (mean_a + 1)), partition noise last.
+    Integer gain G adds G*mean_f to nbar_b; ``noise.var_single_mode`` gives the variance.
     """
-    gain = _check_integer(gain, "gain", 1)
-    filtered = moments([a, c], filtered_output_operator(a.space, c.space, tp))
-    return NumberStats(b_env.mean + gain * filtered.mean, b_env.variance + gain * gain * filtered.variance)
+    gain = gain_structure(gain)[0]
+    t2, r2 = abs(tp.T) ** 2, abs(tp.R) ** 2
+    filtered = NumberStats(
+        t2 * a.mean + r2 * c.mean,
+        t2 * t2 * a.variance + r2 * r2 * c.variance + t2 * r2 * (a.mean * (c.mean + 1.0) + c.mean * (a.mean + 1.0)),
+    )
+    return NumberStats(b_env.mean + gain * filtered.mean, var_single_mode(gain, filtered, b_env))
 
 
 def read_transfer_table(path) -> list[TransferPair]:

@@ -43,9 +43,9 @@ _MULTISTEP = ("MultiStepSingleMode", "MultiStepMultiMode")
 
 
 def _check_real_gain(gain) -> float:
-    """The one gain validator: a finite real >= 1 (bool, nan and inf are refused)."""
-    if isinstance(gain, bool) or not isinstance(gain, numbers.Real) or not 1.0 <= float(gain) < math.inf:
-        raise ValueError(f"gain must be a finite real number >= 1, got {gain!r}")
+    """The one gain validator: a real in [1, float max] (bool, nan and inf are refused)."""
+    if isinstance(gain, bool) or not isinstance(gain, numbers.Real) or not 1.0 <= gain <= sys.float_info.max:
+        raise ValueError(f"gain must be a real number >= 1 within the float range, got {gain!r}")
     return float(gain)
 
 
@@ -54,23 +54,29 @@ def gain_structure(G, g=None, N=None) -> tuple[int, Optional[int], Optional[int]
 
     Without a step gain g, G is an integer >= 1 and N must be absent.  An N-step
     cascade has g an integer >= 2, N >= 1 and G = g**N exactly: either G or N
-    may be left out, and if both are given they must agree.
+    may be left out, and if both are given they must agree.  G must lie within
+    the float range; a cascade's g**N is refused before it is formed.
     """
-    if g is None:
-        if N is not None:
-            raise ValueError(f"steps N = {N!r} needs a step gain g")
-        return _check_integer(G, "gain G", 1), None, None
+    if g is None and N is not None:
+        raise ValueError(f"steps N = {N!r} needs a step gain g")
+    if G is not None or N is None:
+        G = _check_integer(G, "gain G", 1)
+        if G > sys.float_info.max:
+            raise ValueError("total gain G is beyond the float range")
+        if g is None:
+            return G, None, None
     g = _check_integer(g, "step gain g", 2)
     if N is None:
-        total, N = _check_integer(G, "gain G", 1), 1
-        while g**N < total:
+        N = 1
+        while g**N < G:
             N += 1
-        if g**N != total:
-            raise ValueError(f"total gain {G} is not a power of the step gain {g}")
-        return total, g, N
-    N = _check_integer(N, "steps N", 1)
-    if G is not None and _check_integer(G, "gain G", 1) != g**N:
-        raise ValueError(f"gain G = {G} inconsistent with g**N = {g}**{N} = {g**N}")
+    else:
+        N = _check_integer(N, "steps N", 1)
+        # g**N >= 2**N, and N * log2(g) bounds log2(g**N), so no power much beyond 2**1024 is formed
+        if N >= 1024 or N * math.log2(g) > 1025.0 or g**N > sys.float_info.max:
+            raise ValueError(f"total gain {g}**{N} is beyond the float range")
+    if G is not None and G != g**N:
+        raise ValueError(f"gain G = {G} does not equal g**N = {g}**{N}")
     return g**N, g, N
 
 
@@ -146,13 +152,13 @@ def var_phase_sensitive(gain: float, a: NumberStats) -> float:
 
 def var_single_mode(gain: int, a: NumberStats, b: NumberStats) -> float:
     """Single-mode nonlinear amplification: reservoir noise enters unamplified."""
-    g = _check_integer(gain, "gain", 1)
+    g = gain_structure(gain)[0]
     return b.variance + g * g * a.variance
 
 
 def var_g_modes(gain: int, a: NumberStats, b: NumberStats) -> float:
     """Amplification into G independent reservoir modes, summed readout."""
-    g = _check_integer(gain, "gain", 1)
+    g = gain_structure(gain)[0]
     return g * b.variance + g * g * a.variance
 
 

@@ -347,36 +347,35 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
     def _():
         env = filters.ThermalEnv(4.0)
         x = np.linspace(10.0, 40.0, 200)
-        omega = x * env.temperature / env.hbar_over_k
+        omega = x * env.temperature / filters.HBAR_OVER_K
         slope = np.polyfit(omega, [math.log(filters.thermal_occupancy(w, env)) for w in omega], 1)[0]
-        target = -env.hbar_over_k / env.temperature
+        target = -filters.HBAR_OVER_K / env.temperature
         err = abs(slope - target) / abs(target)
         return err <= 1e-6, f"log-slope relative error {err:.2e}"
 
     @check("filter-then-amplify consistency")
     def _():
-        sa, sc = FockSpace(6), FockSpace(6)
-        rho_a, rho_c = fock_state(sa, 1), fock_state(sc, 0)
+        a, c = fock_state(FockSpace(6), 1).number_stats(), fock_state(FockSpace(6), 0).number_stats()
         b_env = NumberStats(0.4, 1.3)
         perfect = filters.TransferPair(1.0, 1.0 + 0j, 0j)
-        out = filters.filtered_amplified_stats(perfect, rho_a, rho_c, 5, b_env)
-        exact = abs(out.variance - noise.var_single_mode(5, rho_a.number_stats(), b_env))
+        out = filters.filtered_amplified_stats(perfect, a, c, 5, b_env)
+        exact = abs(out.variance - noise.var_single_mode(5, a, b_env))
         half = filters.lorentzian_transfer(1.0, 0.0, 2.0)  # detuning = gamma/2: |T|^2 = 1/2
-        out_half = filters.filtered_amplified_stats(half, rho_a, rho_c, 2, NumberStats(0.0, 0.0))
+        out_half = filters.filtered_amplified_stats(half, a, c, 2, NumberStats(0.0, 0.0))
         bernoulli = abs(out_half.variance - 4.0 * 0.25)
         err = max(exact, bernoulli)
         return err <= 1e-10, f"max |pipeline - oracle| = {err:.2e}"
 
     @check("reflected internal noise amplifies the background")
     def _():
-        sa, sc = FockSpace(8), FockSpace(30)
-        rho_a = fock_state(sa, 1)
+        sc = FockSpace(30)
+        a = fock_state(FockSpace(8), 1).number_stats()
         b_env = NumberStats(0.1, 0.2)
         perfect = filters.filtered_amplified_stats(
-            filters.TransferPair(1.0, 1.0 + 0j, 0j), rho_a, fock_state(sc, 0), 6, b_env
+            filters.TransferPair(1.0, 1.0 + 0j, 0j), a, fock_state(sc, 0).number_stats(), 6, b_env
         )
         tp = filters.lorentzian_transfer(1.0, 0.0, 2.0)
-        leaky = filters.filtered_amplified_stats(tp, rho_a, thermal_state(sc, 0.8), 6, b_env)
+        leaky = filters.filtered_amplified_stats(tp, a, thermal_state(sc, 0.8).number_stats(), 6, b_env)
         return leaky.variance > perfect.variance, (
             f"variance {leaky.variance:.3f} (thermal internal mode) > {perfect.variance:.3f} (perfect filter)"
         )

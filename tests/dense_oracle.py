@@ -1,15 +1,16 @@
-"""Brute-force builds of the amplifier operators from ladder matrices, Kronecker products and @.
+"""Brute-force builds of the amplifier and filter operators from ladder matrices, Kronecker products and @.
 
-``fockamp.channels`` fills the few nonzero diagonals of each operator directly.
+``fockamp.channels`` fills the few nonzero diagonals of each operator directly,
+and ``fockamp.filters`` gives the filtered count's moments in closed form.
 These builds take the long way, through the truncated ``annihilation``/
 ``creation`` matrices, ``tensor`` and matrix products, and serve only as the
-oracle those builders are checked against at small cutoffs.
+oracle those are checked against at small cutoffs.
 """
 import math
 
 import numpy as np
 
-from fockamp import FockSpace, OperatorMatrix, annihilation, creation, identity, tensor
+from fockamp import FockSpace, OperatorMatrix, TransferPair, annihilation, creation, identity, tensor
 
 
 def shift_operator(space: FockSpace, phase: float = 0.0) -> OperatorMatrix:
@@ -42,4 +43,12 @@ def caves_number_out(space_a: FockSpace, space_b: FockSpace, gain: float) -> Ope
 def phase_sensitive_number_out(space_a: FockSpace, gain: float) -> OperatorMatrix:
     """a_out^dag a_out for a_out = sqrt(G) a + sqrt(G-1) a_dag."""
     a_out = math.sqrt(gain) * annihilation(space_a) + math.sqrt(gain - 1.0) * creation(space_a)
+    return a_out.dagger() @ a_out
+
+
+def filtered_output_operator(space_a: FockSpace, space_c: FockSpace, tp: TransferPair) -> OperatorMatrix:
+    """Number operator of the filtered mode a_out = T a + R c on the (a, c) space."""
+    a_out = tp.T * tensor(annihilation(space_a), identity(space_c)) + tp.R * tensor(
+        identity(space_a), annihilation(space_c)
+    )
     return a_out.dagger() @ a_out

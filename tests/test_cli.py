@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -154,6 +155,20 @@ class TestFilterScan:
         expected = math.exp(-env_scale * 1.0e15)
         assert outputs[1] / outputs[0] == pytest.approx(expected, rel=0.01)
 
+    def test_default_scan_matches_the_beam_splitter_closed_form(self, capsys, tmp_path):
+        # a Fock(n_a) input and a vacuum internal mode: the filtered count is binomial(n_a, |T|^2)
+        out_csv = tmp_path / "scan.csv"
+        code, _, err = run_cli(capsys, "filter-scan", "--out", str(out_csv))
+        assert code == 0
+        resolved = json.loads(err.splitlines()[0].split("resolved config: ", 1)[1])
+        gain, n_a = resolved["gain"], resolved["n_a"]
+        rows = read_rows(out_csv)
+        assert len(rows) == resolved["points"]
+        for row in rows:
+            t2, r2, nbar = float(row["abs_T2"]), float(row["abs_R2"]), float(row["nbar_at_omega_amp"])
+            expected = gain * t2 * n_a / math.sqrt(nbar * (nbar + 1.0) + gain**2 * t2 * r2 * n_a)
+            assert float(row["snr_end_to_end"]) == pytest.approx(expected, rel=1e-12), row
+
     def test_lossy_table_is_a_config_error(self, capsys, tmp_path):
         table = tmp_path / "filter.csv"
         table.write_text("omega,T_re,T_im,R_re,R_im\n1.0,0.5,0.0,0.5,0.0\n")
@@ -192,6 +207,28 @@ class TestShelvingDemo:
         assert [int(r["cavity_modes"]) for r in rows] == list(range(8, 0, -1))
         analytic = [float(r["snr_analytic"]) for r in rows]
         assert all(b > a for a, b in zip(analytic, analytic[1:]))
+
+
+# sha256 of each command's output on its default config: the four CSVs and the verify stdout
+DEFAULT_OUTPUT_SHA256 = {
+    "snr_table.csv": "8f8708d619a4b04fd9ecc817656c03d42473a0ac6bdd7785ad2af8a4ce7f9b87",
+    "mc_runs.csv": "e60636d49a5c0a07d85302ec6f8f57a3070fcd7f320a804654dbcd392d8d6218",
+    "filter_scan.csv": "c6aeb32ecca3e1964a09f796b70f106f092d7312ed3a12fe59fbb63154fd09f2",
+    "shelving_demo.csv": "f0bb380095b3b44a42bb10cc1b5a115aa1eb9cf8d24337e474f76441984b3897",
+    "verify.stdout": "347d99787ef5edf99f3e6606a7ea4146a9ba0060b4a788c387b78b8c8ed9d8f8",
+}
+
+
+def test_default_outputs_are_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("FOCKAMP_OUT_DIR", str(tmp_path))
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    (tmp_path / "verify.stdout").write_text(out)
+    for command in ("snr-table", "mc", "filter-scan", "shelving-demo"):
+        assert run_cli(capsys, command)[0] == 0, command
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DEFAULT_OUTPUT_SHA256}
+    assert digests == DEFAULT_OUTPUT_SHA256
 
 
 class TestDeterminismAndConfig:
@@ -273,7 +310,6 @@ class TestDeterminismAndConfig:
         ("shelving-demo", json.dumps({"seed": 7.25}), []),
         ("filter-scan", json.dumps({"n_a": 1.5}), []),
         ("filter-scan", json.dumps({"points": 10.5}), []),
-        ("filter-scan", json.dumps({"cutoff_c": 0.5}), []),
         # a trial output beyond int64, and a thermal law whose q = nbar/(nbar+1) rounds to 1
         ("mc", json.dumps({"scenarios": [{"model": "GModes", "G": 8, "reservoir": {"kind": "fock", "n": 2**61}}]}), []),
         ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 16, "n_a": 2**60}]}), []),
@@ -283,6 +319,9 @@ class TestDeterminismAndConfig:
         ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 2, "reservoir": []}]}), []),
         # draw-free, but sum(m * w^2) = (4**600 - 1) / 3 is beyond the float range
         ("mc", json.dumps({"scenarios": [{"model": "MultiStepSingle", "g": 2, "N": 600, "reservoir": {"kind": "fock", "n": 0}}]}), []),
+        # a cascade whose g**N would take terabytes to form, and a filtered variance G^2 * n_a beyond the float range
+        ("mc", json.dumps({"scenarios": [{"model": "MultiStepSingle", "g": 2, "N": 10**12}]}), []),
+        ("filter-scan", json.dumps({"n_a": 10**307}), []),
         # a 400-digit integer in a float field of each command
         ("verify", json.dumps({"gain": 10**400}), []),
         ("snr-table", json.dumps({"dn_b": 10**400}), []),
@@ -354,7 +393,7 @@ _CONFIG_KEYS = {
     "verify": ["cutoff", "fixed_phase", "gain", "seed"],
     "snr-table": ["dn_b", "grid", "mechanisms", "n_a", "out"],
     "mc": ["out", "scenarios", "seed", "trials"],
-    "filter-scan": ["cutoff_c", "gain", "gamma", "n_a", "omega0", "omega_amp", "omega_max", "omega_min", "out",
+    "filter-scan": ["gain", "gamma", "n_a", "omega0", "omega_amp", "omega_max", "omega_min", "out",
                     "points", "table", "temperature"],
     "shelving-demo": ["gain", "n_a", "nbar", "out", "seed", "trials"],
 }

@@ -1,26 +1,31 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dense_oracle
 from fockamp import (
+    HBAR_OVER_K,
     FockSpace,
     NumberStats,
     ThermalEnv,
     TransferPair,
     filtered_amplified_stats,
-    filtered_output_operator,
     fock_state,
     lorentzian_transfer,
     moments,
     read_transfer_table,
+    settle_cutoff,
     thermal_occupancy,
     thermal_state,
     var_single_mode,
 )
 
-# environment chosen so that hbar*omega/kT = x maps to omega = x / SCALE
-ENV = ThermalEnv(temperature=1.0, hbar_over_k=1.0)
+# environment chosen so that hbar*omega/kT = omega
+ENV = ThermalEnv(temperature=HBAR_OVER_K)
 
 
 class TestTransferPair:
@@ -56,14 +61,14 @@ class TestTransferPair:
 class TestFilteredOperator:
     def test_perfect_transmission_passes_the_input(self):
         sa, sc = FockSpace(5), FockSpace(5)
-        op = filtered_output_operator(sa, sc, TransferPair(1.0, 1.0 + 0j, 0j))
+        op = dense_oracle.filtered_output_operator(sa, sc, TransferPair(1.0, 1.0 + 0j, 0j))
         for n in range(4):
             stats = moments([fock_state(sa, n), thermal_state(sc, 0.8)], op)
             assert stats.mean == pytest.approx(n, abs=1e-12)
 
     def test_full_reflection_swaps_in_the_internal_mode(self):
         sa, sc = FockSpace(5), FockSpace(6)
-        op = filtered_output_operator(sa, sc, TransferPair(1.0, 0j, 1.0 + 0j))
+        op = dense_oracle.filtered_output_operator(sa, sc, TransferPair(1.0, 0j, 1.0 + 0j))
         rho_c = thermal_state(sc, 0.5)
         stats = moments([fock_state(sa, 3), rho_c], op)
         assert stats.mean == pytest.approx(rho_c.number_stats().mean, abs=1e-12)
@@ -71,7 +76,7 @@ class TestFilteredOperator:
     def test_half_transmission_is_bernoulli(self):
         sa, sc = FockSpace(4), FockSpace(4)
         tp = lorentzian_transfer(1.0, 0.0, 2.0)  # |T|^2 = 1/2 exactly
-        stats = moments([fock_state(sa, 1), fock_state(sc, 0)], filtered_output_operator(sa, sc, tp))
+        stats = moments([fock_state(sa, 1), fock_state(sc, 0)], dense_oracle.filtered_output_operator(sa, sc, tp))
         assert stats.mean == pytest.approx(0.5, abs=1e-12)
         assert stats.variance == pytest.approx(0.25, abs=1e-12)
 
@@ -105,48 +110,89 @@ class TestThermalOccupancy:
         assert slope == pytest.approx(-1.0, rel=1e-6)
 
 
+ONE, VACUUM = NumberStats(1.0, 0.0), NumberStats(0.0, 0.0)
+
+
 class TestFilteredAmplifiedStats:
     def test_perfect_transmission_reduces_to_single_mode_noise(self):
-        sa, sc = FockSpace(5), FockSpace(5)
         b_env = NumberStats(0.7, 1.9)
-        out = filtered_amplified_stats(TransferPair(1.0, 1.0 + 0j, 0j), fock_state(sa, 1), fock_state(sc, 0), 50, b_env)
+        out = filtered_amplified_stats(TransferPair(1.0, 1.0 + 0j, 0j), ONE, VACUUM, 50, b_env)
         assert out.mean == pytest.approx(0.7 + 50.0, abs=1e-12)
         assert out.variance == pytest.approx(1.9, abs=1e-12)
-        assert out.variance == pytest.approx(
-            var_single_mode(50, fock_state(sa, 1).number_stats(), b_env), abs=1e-12
-        )
+        assert out.variance == pytest.approx(var_single_mode(50, ONE, b_env), abs=1e-12)
 
     def test_full_reflection_gives_background_only(self):
-        sa, sc = FockSpace(4), FockSpace(4)
         b_env = NumberStats(0.3, 0.6)
-        out = filtered_amplified_stats(TransferPair(1.0, 0j, 1.0 + 0j), fock_state(sa, 2), fock_state(sc, 0), 9, b_env)
+        out = filtered_amplified_stats(TransferPair(1.0, 0j, 1.0 + 0j), NumberStats(2.0, 0.0), VACUUM, 9, b_env)
         assert out.mean == pytest.approx(0.3, abs=1e-12)
         assert out.variance == pytest.approx(0.6, abs=1e-12)
 
     def test_bernoulli_amplification(self):
-        sa, sc = FockSpace(4), FockSpace(4)
         tp = lorentzian_transfer(1.0, 0.0, 2.0)
-        out = filtered_amplified_stats(tp, fock_state(sa, 1), fock_state(sc, 0), 2, NumberStats(0.0, 0.0))
+        out = filtered_amplified_stats(tp, ONE, VACUUM, 2, VACUUM)
         assert out.mean == pytest.approx(1.0, abs=1e-12)
         assert out.variance == pytest.approx(1.0, abs=1e-12)  # G^2 * p(1-p) = 4 * 1/4
 
     def test_reflected_thermal_mode_raises_the_noise(self):
-        sa, sc = FockSpace(6), FockSpace(40)
         b_env = NumberStats(0.1, 0.2)
-        perfect = filtered_amplified_stats(
-            TransferPair(1.0, 1.0 + 0j, 0j), fock_state(sa, 1), fock_state(sc, 0), 6, b_env
-        )
-        leaky = filtered_amplified_stats(
-            lorentzian_transfer(1.0, 0.0, 2.0), fock_state(sa, 1), thermal_state(sc, 0.8), 6, b_env
-        )
+        perfect = filtered_amplified_stats(TransferPair(1.0, 1.0 + 0j, 0j), ONE, VACUUM, 6, b_env)
+        leaky = filtered_amplified_stats(lorentzian_transfer(1.0, 0.0, 2.0), ONE, NumberStats(0.8, 0.8 * 1.8), 6, b_env)
         assert leaky.variance > perfect.variance
 
     def test_gain_validation(self):
-        sa, sc = FockSpace(2), FockSpace(2)
         with pytest.raises(ValueError):
-            filtered_amplified_stats(TransferPair(1.0, 1.0 + 0j, 0j), fock_state(sa, 0), fock_state(sc, 0), 0, NumberStats(0, 0))
+            filtered_amplified_stats(TransferPair(1.0, 1.0 + 0j, 0j), VACUUM, VACUUM, 0, VACUUM)
         with pytest.raises(ValueError):
-            filtered_amplified_stats(TransferPair(1.0, 1.0 + 0j, 0j), fock_state(sa, 0), fock_state(sc, 0), 2.5, NumberStats(0, 0))
+            filtered_amplified_stats(TransferPair(1.0, 1.0 + 0j, 0j), VACUUM, VACUUM, 2.5, VACUUM)
+
+
+@st.composite
+def transfer_pairs(draw):
+    """A lossless filter at any |T|^2 in [0, 1], with independent phases on T and R."""
+    t2 = draw(st.floats(0.0, 1.0))
+    phase_t, phase_r = draw(st.floats(-math.pi, math.pi)), draw(st.floats(-math.pi, math.pi))
+    return TransferPair(1.0, math.sqrt(t2) * cmath.exp(1j * phase_t), math.sqrt(1.0 - t2) * cmath.exp(1j * phase_r))
+
+
+@st.composite
+def fock_inputs(draw):
+    """A Fock state strictly below its cutoff, so the truncated ladder matrices act on it exactly."""
+    n = draw(st.integers(0, 6))
+    return fock_state(FockSpace(n + draw(st.integers(1, 4))), n)
+
+
+@st.composite
+def thermal_inputs(draw):
+    """A thermal state at a cutoff that passes the leakage guard."""
+    nbar = draw(st.floats(0.0, 0.5))
+    cutoff = settle_cutoff(lambda s: thermal_state(FockSpace(s), nbar), draw(st.integers(3, 20)))
+    return thermal_state(FockSpace(cutoff), nbar)
+
+
+def _assert_matches_dense_oracle(tp, rho_a, rho_c, rel):
+    closed = filtered_amplified_stats(tp, rho_a.number_stats(), rho_c.number_stats(), 1, VACUUM)
+    dense = moments([rho_a, rho_c], dense_oracle.filtered_output_operator(rho_a.space, rho_c.space, tp))
+    assert abs(closed.mean - dense.mean) <= rel * max(1.0, dense.mean)
+    # the dense variance is <n^2> - <n>^2, so its rounding scales with the second moment
+    assert abs(closed.variance - dense.variance) <= rel * max(1.0, dense.variance + dense.mean**2)
+
+
+class TestClosedFormAgainstDenseOracle:
+    """The beam-splitter closed form against moments of the dense two-mode operator."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(tp=transfer_pairs(), rho_a=fock_inputs(), rho_c=fock_inputs())
+    def test_fock_inputs_below_their_cutoff(self, tp, rho_a, rho_c):
+        _assert_matches_dense_oracle(tp, rho_a, rho_c, 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tp=transfer_pairs(),
+        rho_a=st.one_of(fock_inputs(), thermal_inputs()),
+        rho_c=st.one_of(fock_inputs(), thermal_inputs()),
+    )
+    def test_inputs_that_pass_the_leakage_guard(self, tp, rho_a, rho_c):
+        _assert_matches_dense_oracle(tp, rho_a, rho_c, 1e-8)
 
 
 class TestTransferTable:

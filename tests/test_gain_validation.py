@@ -5,9 +5,11 @@ ValueError.  Every integer-taking entry point also refuses non-integral values
 and values below its minimum, and reads an integral float k as the int k.
 """
 import math
+import sys
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockamp import (
@@ -60,9 +62,7 @@ ENTRY_POINTS = {
     "caves_number_out": lambda g: caves_number_out(SP, SP, g),
     "phase_sensitive_number_out": lambda g: phase_sensitive_number_out(SP, g),
     "ideal_schrodinger_map": lambda g: ideal_schrodinger_map(1, 5, 0, g),
-    "filtered_amplified_stats": lambda g: filtered_amplified_stats(
-        TransferPair(1.0, 1.0 + 0j, 0j), fock_state(SP, 1), fock_state(SP, 0), g, B
-    ),
+    "filtered_amplified_stats": lambda g: filtered_amplified_stats(TransferPair(1.0, 1.0 + 0j, 0j), B, B, g, B),
     "VerifyConfig.gain": lambda g: VerifyConfig(gain=g),
 }
 
@@ -76,6 +76,7 @@ BAD_GAINS = st.one_of(
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 @settings(max_examples=40, deadline=None)
 @given(gain=BAD_GAINS)
+@example(gain=10**400)  # an integer beyond the float range
 def test_bad_gain_is_a_value_error(name, gain):
     with pytest.raises(ValueError):
         ENTRY_POINTS[name](gain)
@@ -201,3 +202,23 @@ def test_only_cascades_carry_a_step_gain(tag):
     assert (m.step_gain_g, m.steps_N) == (None, None)
     spec = _scenario("GModes", step_gain_g=2, steps_N=2)
     assert (spec.step_gain_g, spec.steps_N) == (None, None)
+
+
+def test_total_gain_beyond_the_float_range_is_refused():
+    assert gain_structure(None, 2, 1023)[0] == 2**1023
+    assert gain_structure(int(sys.float_info.max))[0] == int(sys.float_info.max)
+    # 7**365 passes the log2 bound (1024.6 <= 1025) and is refused on its exact value
+    for args in ((int(sys.float_info.max) + 1,), (10**400,), (10**400, 10), (None, 2, 1024), (None, 7, 365)):
+        with pytest.raises(ValueError, match="float range"):
+            gain_structure(*args)
+
+
+def test_deep_cascade_is_refused_before_its_gain_is_formed():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="float range"):
+            gain_structure(None, 2, 10**12)  # 2**(10**12) would take 125 GB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
