@@ -260,31 +260,20 @@ def _power_sums(spec: ScenarioSpec, trial_offset: int) -> tuple[int, int, int, i
         # every draw is _max_draw, so every trial counts the same c
         c = signal + spec.reservoir._max_draw * sum(m * w for w, m in classes)
         return tuple(spec.trials * c**k for k in range(1, 5))
-    s1 = s2 = s3 = s4 = 0
-    done = 0
-    while done < spec.trials:
-        count = min(_BLOCK, spec.trials - done)
-        start = trial_offset + done
+    sums = [0, 0, 0, 0]
+    end = trial_offset + spec.trials
+    for start in range(trial_offset, end, _BLOCK):
+        count = min(_BLOCK, end - start)
         x = np.full(count, signal, dtype=np.int64)
         for j, w in enumerate(chain.from_iterable(repeat(w, m) for w, m in classes)):
             u = _uniforms(spec.seed, j, start, count)
             x += w * spec.reservoir._draw_block(u)
-        xmax = int(x.max())
-        if xmax > 0 and xmax**4 * count > 2**62:
-            # fall back to exact big-int accumulation for extreme counts
-            for v in x.tolist():
-                s1 += v
-                s2 += v * v
-                s3 += v * v * v
-                s4 += v * v * v * v
-        else:
-            x2 = x * x
-            s1 += int(x.sum())
-            s2 += int(x2.sum())
-            s3 += int((x2 * x).sum())
-            s4 += int((x2 * x2).sum())
-        done += count
-    return s1, s2, s3, s4
+        # fold the block through its distinct outputs: object arrays keep every product a Python int
+        values, counts = (a.astype(object) for a in np.unique(x, return_counts=True))
+        for k in range(4):
+            counts = counts * values
+            sums[k] += int(counts.sum())
+    return tuple(sums)
 
 
 def _stats_from_power_sums(n: int, s1: int, s2: int, s3: int, s4: int) -> SampleStats:
