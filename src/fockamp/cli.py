@@ -27,7 +27,7 @@ from typing import Callable
 
 from . import filters, noise
 from .fock import NumberStats, _check_integer
-from .montecarlo import ReservoirSpec, ScenarioSpec, _power_sums, _stats_from_power_sums, analytic_variance, run_scenario
+from .montecarlo import ReservoirSpec, ScenarioSpec, analytic_variance, run_scenario
 from .verify import VerifyConfig, run_checks
 
 __all__ = ["main"]
@@ -277,11 +277,9 @@ def _parse_shelving_demo(cfg: dict) -> Callable[[], int]:
         rows = []
         for spec in specs:
             modes = spec.cavity_mode_count
-            s1, s2, s3, s4 = _power_sums(spec, 0)
-            stats = _stats_from_power_sums(spec.trials, s1, s2, s3, s4)
-            # an n_a = 0 run would reuse these draws, so its sum is exactly s1 - trials * G * n_a
-            background_mean = (s1 - spec.trials * gain * n_a) / spec.trials
-            snr_mc = (stats.mean - background_mean) / math.sqrt(stats.variance) if stats.variance > 0 else math.inf
+            stats = run_scenario(spec)
+            # an n_a = 0 run would reuse these draws, so the measured signal is exactly G * n_a
+            snr_mc = gain * n_a / math.sqrt(stats.variance) if stats.variance > 0 else math.inf
             variance = analytic_variance(spec)
             snr_analytic = gain * n_a / math.sqrt(variance) if variance > 0 else math.inf
             rows.append(

@@ -9,8 +9,8 @@ all ones for parallel modes) and a deterministic signal of G excitations per
 input photon.  Equal weights are kept as (w, m) classes, so the table has one
 entry per cascade step, not one per draw.  Draw (t, j) comes from a
 counter-based generator keyed on (seed, t, j), so trials are reproducible
-under any execution order or split, and all estimator sums are exact integer
-arithmetic, making the returned statistics bitwise deterministic.
+under any execution order or split.  Both estimators come from exact integer
+central sums rounded once: bitwise deterministic, and blind to a constant shift.
 
 Reservoir draws use untruncated laws (the geometric law for thermal states),
 so this module is the truncation-free statistical oracle for the closed-form
@@ -253,7 +253,7 @@ def analytic_variance(spec: ScenarioSpec) -> float:
 
 
 def _power_sums(spec: ScenarioSpec, trial_offset: int) -> tuple[int, int, int, int]:
-    """Exact integer sums of x, x^2, x^3, x^4 over all trial outputs."""
+    """Exact sums of x, x^2, x^3, x^4 over all trial outputs: each block's distinct outputs, in Python ints."""
     classes = _weight_classes(spec)
     signal = spec.gain_G * spec.input_n_a
     if spec.reservoir.kind == "fock" or spec.reservoir._max_draw == 0:
@@ -268,7 +268,6 @@ def _power_sums(spec: ScenarioSpec, trial_offset: int) -> tuple[int, int, int, i
         for j, w in enumerate(chain.from_iterable(repeat(w, m) for w, m in classes)):
             u = _uniforms(spec.seed, j, start, count)
             x += w * spec.reservoir._draw_block(u)
-        # fold the block through its distinct outputs: object arrays keep every product a Python int
         values, counts = (a.astype(object) for a in np.unique(x, return_counts=True))
         for k in range(4):
             counts = counts * values
@@ -280,13 +279,12 @@ def _stats_from_power_sums(n: int, s1: int, s2: int, s3: int, s4: int) -> Sample
     mean = s1 / n
     if n == 1:
         return SampleStats(1, mean, 0.0, 0.0)
-    # exact integer numerators keep the results independent of summation order
-    ss = s2 - (s1 * s1) / n
-    variance = max(ss / (n - 1), 0.0)
-    m2 = max(ss / n, 0.0)
-    m4 = (s4 - 4.0 * mean * s3 + 6.0 * mean * mean * s2 - 4.0 * mean**3 * s1) / n + mean**4
-    var_of_var = (m4 - (n - 3) / (n - 1) * m2 * m2) / n
-    return SampleStats(n, mean, variance, math.sqrt(max(var_of_var, 0.0)))
+    # c2 = n^2 m2, c4 = n^4 m4: each estimator is one correctly rounded int/int, >= 0 as m4 >= m2^2
+    c2 = n * s2 - s1 * s1
+    c4 = n**3 * s4 - 4 * n**2 * s1 * s3 + 6 * n * s1 * s1 * s2 - 3 * s1**4
+    variance = c2 / (n * (n - 1))
+    var_of_var = ((n - 1) * c4 - (n - 3) * c2 * c2) / ((n - 1) * n**5)
+    return SampleStats(n, mean, variance, math.sqrt(var_of_var))
 
 
 def run_scenario(spec: ScenarioSpec, trial_offset: int = 0) -> SampleStats:

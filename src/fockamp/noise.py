@@ -5,10 +5,11 @@ mechanism for a fixed input photon number (signal = amplified-mode count minus
 background, divided by the output standard deviation).  Linear-mechanism SNRs
 are the upper bounds obtained for the most favorable input; nonlinear ones are
 equalities.  Zero-noise denominators yield +inf rather than an error so gain
-sweeps that include G = 1 stay plottable.
+sweeps that include G = 1 stay plottable; a variance beyond floats is a ValueError.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -132,6 +133,21 @@ class Mechanism:
         return cls("MultiStepMultiMode", None, step_gain, steps)
 
 
+def _in_float_range(formula):
+    """Refuse with ValueError a variance beyond the float range: inf, nan (inf * 0) or an int G**2 no float holds."""
+    @functools.wraps(formula)
+    def checked(*args):
+        try:
+            variance = formula(*args)
+        except OverflowError:
+            variance = math.inf
+        if not math.isfinite(variance):
+            raise ValueError(f"{formula.__name__}: the output variance is beyond the float range")
+        return variance
+    return checked
+
+
+@_in_float_range
 def var_caves(gain: float, a: NumberStats, b: NumberStats) -> float:
     """Output-number variance of the phase-insensitive linear amplifier."""
     g = _check_real_gain(gain)
@@ -142,6 +158,7 @@ def var_caves(gain: float, a: NumberStats, b: NumberStats) -> float:
     )
 
 
+@_in_float_range
 def var_phase_sensitive(gain: float, a: NumberStats) -> float:
     """Output-number variance of the phase-sensitive linear amplifier."""
     g = _check_real_gain(gain)
@@ -150,18 +167,21 @@ def var_phase_sensitive(gain: float, a: NumberStats) -> float:
     )
 
 
+@_in_float_range
 def var_single_mode(gain: int, a: NumberStats, b: NumberStats) -> float:
     """Single-mode nonlinear amplification: reservoir noise enters unamplified."""
     g = gain_structure(gain)[0]
     return b.variance + g * g * a.variance
 
 
+@_in_float_range
 def var_g_modes(gain: int, a: NumberStats, b: NumberStats) -> float:
     """Amplification into G independent reservoir modes, summed readout."""
     g = gain_structure(gain)[0]
     return g * b.variance + g * g * a.variance
 
 
+@_in_float_range
 def var_multistep_single(total_gain: int, step_gain: int, a: NumberStats, b: NumberStats) -> float:
     """N-step cascade into a single mode per step, total gain g**N."""
     total, g, _ = gain_structure(total_gain, step_gain)
@@ -169,6 +189,7 @@ def var_multistep_single(total_gain: int, step_gain: int, a: NumberStats, b: Num
     return (big_g * big_g - 1.0) / (g * g - 1.0) * b.variance + big_g * big_g * a.variance
 
 
+@_in_float_range
 def var_multistep_multi(total_gain: int, step_gain: int, a: NumberStats, b: NumberStats) -> float:
     """N-step cascade, each step amplifying one excitation into g modes."""
     total, g, _ = gain_structure(total_gain, step_gain)

@@ -212,9 +212,9 @@ class TestShelvingDemo:
 # sha256 of each command's output on its default config: the four CSVs and the verify stdout
 DEFAULT_OUTPUT_SHA256 = {
     "snr_table.csv": "8f8708d619a4b04fd9ecc817656c03d42473a0ac6bdd7785ad2af8a4ce7f9b87",
-    "mc_runs.csv": "e60636d49a5c0a07d85302ec6f8f57a3070fcd7f320a804654dbcd392d8d6218",
+    "mc_runs.csv": "15987fc4589869effb89368dca1861c495fb56e0944c21caef061ea39fa40c88",
     "filter_scan.csv": "c6aeb32ecca3e1964a09f796b70f106f092d7312ed3a12fe59fbb63154fd09f2",
-    "shelving_demo.csv": "f0bb380095b3b44a42bb10cc1b5a115aa1eb9cf8d24337e474f76441984b3897",
+    "shelving_demo.csv": "f4e9f56d5bc74eeffea4aec0518808f180bc6505b7685c9eef7a34cf67a582bf",
     "verify.stdout": "347d99787ef5edf99f3e6606a7ea4146a9ba0060b4a788c387b78b8c8ed9d8f8",
 }
 

@@ -211,6 +211,18 @@ def test_total_gain_beyond_the_float_range_is_refused():
     for args in ((int(sys.float_info.max) + 1,), (10**400,), (10**400, 10), (None, 2, 1024), (None, 7, 365)):
         with pytest.raises(ValueError, match="float range"):
             gain_structure(*args)
+    # a gain within the float range whose variance is not: nan, OverflowError or inf without the check
+    a = NumberStats(1, 0)
+    for call in (
+        lambda: var_multistep_single(2**600, 2, a, B),
+        lambda: var_multistep_multi(2**600, 2, a, B),
+        lambda: var_g_modes(2**600, a, B),
+        lambda: var_single_mode(2**600, a, B),
+        lambda: var_caves(1e200, a, B),
+        lambda: var_phase_sensitive(1e200, a),
+    ):
+        with pytest.raises(ValueError, match="float range"):
+            call()
 
 
 def test_deep_cascade_is_refused_before_its_gain_is_formed():

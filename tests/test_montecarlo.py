@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from fockamp import (
     var_multistep_single,
     var_single_mode,
 )
-from fockamp.montecarlo import _BLOCK, _power_sums, _uniforms
+from fockamp.cli import main
+from fockamp.montecarlo import _BLOCK, _power_sums, _stats_from_power_sums, _uniforms
 
 
 def z_score(stats, target):
@@ -75,6 +78,42 @@ def brute_force_power_sums(spec, trial_offset):
         draws = spec.reservoir._draw_block(_uniforms(spec.seed, j, trial_offset, spec.trials)).tolist()
         x = [v + w * d for v, d in zip(x, draws)]
     return tuple(sum(v**k for v in x) for k in (1, 2, 3, 4))
+
+
+def reservoir_cumulants(reservoir):
+    """(k1, k2, k4) of one reservoir draw, from its law rather than from the sampler."""
+    if reservoir.kind == "fock":
+        return float(reservoir.n), 0.0, 0.0
+    if reservoir.kind == "thermal":
+        nu = reservoir.nbar  # geometric law with mean nu
+        k2 = nu * (nu + 1.0)
+        return nu, k2, k2 * (6.0 * nu * nu + 6.0 * nu + 1.0)
+    p = np.array(reservoir.probs)
+    k = np.arange(p.size)
+    mean = float(p @ k)
+    mu2, mu4 = float(p @ (k - mean) ** 2), float(p @ (k - mean) ** 4)
+    return mean, mu2, mu4 - 3.0 * mu2 * mu2
+
+
+def exact_output_moments(spec):
+    """Exact mean and variance of one trial's output, and the exact variance of the sample variance.
+
+    Cumulants add over the independent weighted draws, k_r(X) = sum_j w_j^r k_r(b),
+    so Var(s^2) = k4/n + 2 k2^2/(n-1) holds exactly for n = spec.trials.
+    """
+    b1, b2, b4 = reservoir_cumulants(spec.reservoir)
+    weights = spelled_out_weights(spec)
+    k1 = spec.gain_G * spec.input_n_a + b1 * sum(weights)
+    k2 = b2 * sum(w**2 for w in weights)
+    k4 = b4 * sum(w**4 for w in weights)
+    n = spec.trials
+    return k1, k2, k4 / n + 2.0 * k2 * k2 / (n - 1)
+
+
+def chi2_upper(dof, z=5.0):
+    """Wilson-Hilferty quantile of the chi-square law at the one-sided normal level z (about 3e-7 at z = 5)."""
+    c = 2.0 / (9.0 * dof)
+    return dof * (1.0 - c + z * math.sqrt(c)) ** 3
 
 
 GAIN_GRID = {
@@ -148,6 +187,34 @@ class TestReservoirSpec:
         draws = reservoir_draws(spec, 200_000, seed=11)
         assert set(np.unique(draws)) == {0, 2}
         assert abs((draws == 0).mean() - 0.5) <= 0.005
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ReservoirSpec.thermal(0.6),
+            ReservoirSpec.thermal(4.0),
+            ReservoirSpec.empirical([0.1, 0.0, 0.25, 0.05, 0.6]),
+            ReservoirSpec.empirical([0.4, 0.3, 0.2, 0.1]),
+        ],
+    )
+    def test_draws_follow_their_law(self, spec):
+        # chi-square of 2**20 draws against the exact pmf: a transform bug that keeps the
+        # first two moments still moves the shape, which a variance z-test cannot see
+        count = 1 << 20
+        draws = reservoir_draws(spec, count, seed=2718)
+        if spec.kind == "thermal":
+            q = spec.nbar / (spec.nbar + 1.0)
+            tail = math.ceil(math.log(20.0 / count) / math.log(q))  # about 20 draws expected at or beyond it
+            pmf = np.append((1.0 - q) * q ** np.arange(tail), q**tail)
+            observed = np.bincount(np.minimum(draws, tail), minlength=tail + 1)
+        else:
+            pmf = np.array(spec.probs)
+            observed = np.bincount(draws, minlength=pmf.size)
+            assert observed.size == pmf.size and not observed[pmf == 0].any()
+            pmf, observed = pmf[pmf > 0], observed[pmf > 0]
+        expected = count * pmf
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 <= chi2_upper(pmf.size - 1), (chi2, pmf.size - 1)
 
 
 class TestScenarioValidation:
@@ -348,6 +415,7 @@ class TestRunScenario:
                 ReservoirSpec.thermal(0.7),
                 ReservoirSpec.empirical([1.0]),
                 ReservoirSpec.empirical([0.5, 0.2, 0.3]),
+                ReservoirSpec.thermal(1e5),
             ]
         ),
         n_a=st.integers(min_value=0, max_value=2),
@@ -355,6 +423,8 @@ class TestRunScenario:
         trials=st.integers(min_value=1, max_value=40),
         offset=st.integers(min_value=0, max_value=2**40),
     )
+    # a full block whose x**4 sums leave the int64 range many times over
+    @example(dict(model="SingleMode", gain_G=3), ReservoirSpec.thermal(1e5), 2, 9, _BLOCK, 0)
     def test_power_sums_match_per_slot_brute_force(self, model, reservoir, n_a, seed, trials, offset):
         spec = ScenarioSpec(input_n_a=n_a, reservoir=reservoir, trials=trials, seed=seed, **model)
         assert _power_sums(spec, offset) == brute_force_power_sums(spec, offset)
@@ -423,6 +493,88 @@ class TestRunScenario:
         se = math.sqrt(stats.variance / stats.count)
         assert abs(stats.mean - 3.5) <= 4 * se
         assert abs(z_score(stats, 15.75)) <= 4.0
+
+
+class TestExactEstimators:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shift=st.integers(min_value=0, max_value=2**40),
+        spread=st.lists(st.integers(min_value=0, max_value=2**20), min_size=1, max_size=40),
+    )
+    @example(2**40, [0, 1, 2, 3, 3, 7])
+    def test_estimators_are_the_exact_values_rounded_once(self, shift, spread):
+        x = [shift + v for v in spread]
+        n = len(x)
+        stats = _stats_from_power_sums(n, *(sum(v**k for v in x) for k in (1, 2, 3, 4)))
+        mean = Fraction(sum(x), n)
+        m2 = sum((v - mean) ** 2 for v in x) / n
+        m4 = sum((v - mean) ** 4 for v in x) / n
+        variance = m2 * n / (n - 1) if n > 1 else Fraction(0)
+        var_of_var = (m4 - Fraction(n - 3, n - 1) * m2 * m2) / n if n > 1 else Fraction(0)
+        assert stats.mean == float(mean)
+        assert stats.variance == float(variance)
+        assert stats.std_error_of_variance == math.sqrt(float(var_of_var))
+
+    def test_signal_shift_leaves_variance_bitwise_unchanged(self):
+        def run(gain, n_a):
+            reservoir = ReservoirSpec.thermal(1.0)
+            return run_scenario(
+                ScenarioSpec(model="SingleMode", input_n_a=n_a, reservoir=reservoir, trials=200_000, seed=5, gain_G=gain)
+            )
+
+        background = run(50, 0)
+        for gain, n_a in ((50, 1), (50, 100), (10**6, 1000), (2**20, 2**20)):  # G n_a = 50, 5000, 1e9, 2**40
+            shifted = run(gain, n_a)
+            assert (shifted.variance, shifted.std_error_of_variance) == (
+                background.variance,
+                background.std_error_of_variance,
+            ), (gain, n_a)
+
+    def test_mc_command_keeps_the_variance_under_a_large_mean(self, tmp_path):
+        scenario = {"model": "SingleMode", "G": 1000000, "n_a": 1000, "reservoir": {"kind": "thermal", "nbar": 1.0}}
+        config, out = tmp_path / "mc.json", tmp_path / "mc.csv"
+        config.write_text(json.dumps({"scenarios": [scenario]}))
+        assert main(["mc", "--config", str(config), "--out", str(out)]) == 0
+        header, row = (line.split(",") for line in out.read_text().splitlines())
+        cells = dict(zip(header, row))
+        spec = ScenarioSpec(
+            model="SingleMode",
+            input_n_a=1000,
+            reservoir=ReservoirSpec.thermal(1.0),
+            trials=int(cells["trials"]),
+            seed=int(cells["seed"]),
+            gain_G=10**6,
+        )
+        _, k2, var_of_var = exact_output_moments(spec)
+        assert k2 == 2.0 and abs(float(cells["variance"]) - k2) <= 6 * math.sqrt(var_of_var)
+        assert math.isfinite(float(cells["z_score"]))
+
+
+ORACLE_MODELS = [
+    dict(model="SingleMode", gain_G=5),
+    dict(model="GModes", gain_G=5),
+    dict(model="MultiStepSingle", step_gain_g=2, steps_N=3),
+    dict(model="MultiStepMulti", step_gain_g=2, steps_N=2),
+    dict(model="Shelving", gain_G=6, cavity_mode_count=3),
+    dict(model="Multiplexed", gain_G=3, mode_budget=2),
+]
+ORACLE_RESERVOIRS = [
+    ReservoirSpec.thermal(0.3),
+    ReservoirSpec.thermal(2.0),
+    ReservoirSpec.empirical([0.1, 0.2, 0.3, 0.4]),
+]
+
+
+@pytest.mark.parametrize("reservoir", ORACLE_RESERVOIRS, ids=lambda r: r.label)
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: m["model"])
+def test_sample_moments_against_exact_cumulants(model, reservoir):
+    # the error bars come from the exact law, not from the sample's own m4, so a
+    # sampler that fattens its tails cannot widen them
+    spec = ScenarioSpec(input_n_a=1, reservoir=reservoir, trials=_BLOCK, seed=8128, **model)
+    stats = run_scenario(spec)
+    k1, k2, var_of_var = exact_output_moments(spec)
+    assert abs(stats.mean - k1) <= 4.5 * math.sqrt(k2 / spec.trials)
+    assert abs(stats.variance - k2) <= 4.5 * math.sqrt(var_of_var)
 
 
 class TestShelving:
