@@ -136,9 +136,9 @@ class Mechanism:
 def _in_float_range(formula):
     """Refuse with ValueError a variance beyond the float range: inf, nan (inf * 0) or an int G**2 no float holds."""
     @functools.wraps(formula)
-    def checked(*args):
+    def checked(*args, **kwargs):
         try:
-            variance = formula(*args)
+            variance = formula(*args, **kwargs)
         except OverflowError:
             variance = math.inf
         if not math.isfinite(variance):
