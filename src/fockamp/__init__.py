@@ -14,9 +14,7 @@ from .fock import (
     TruncationError,
     annihilation,
     check_truncation,
-    creation,
     default_cutoff,
-    embed,
     fock_state,
     identity,
     leakage,
@@ -27,7 +25,6 @@ from .fock import (
     thermal_state,
 )
 from .channels import (
-    CommutatorCheck,
     IdealMapRecord,
     caves_number_out,
     check_pegg_barnett,

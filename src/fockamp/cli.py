@@ -164,14 +164,14 @@ _DEFAULT_SCENARIOS = [
 
 
 def _parse_mc(cfg: dict) -> Callable[[], int]:
-    trials, seed = _check_integer(cfg["trials"], "trials", 1), _check_integer(cfg["seed"], "seed")
-    # every scenario is validated here, before any sampling happens
+    trials, seed = _check_integer(cfg["trials"], "trials", 2), _check_integer(cfg["seed"], "seed")
+    # every scenario is validated here, before any sampling happens; a variance needs 2 trials
     specs = [
         ScenarioSpec(
             model=_typed(c, dict, "scenario")["model"],  # checked first, so c.get below is safe
             input_n_a=c.get("n_a", 0),
             reservoir=_reservoir_from_config(c.get("reservoir", {"kind": "thermal", "nbar": 1.0})),
-            trials=c.get("trials", trials),
+            trials=_check_integer(c.get("trials", trials), "trials", 2),
             seed=c.get("seed", seed),
             gain_G=c.get("G"),
             step_gain_g=c.get("g"),
@@ -257,7 +257,7 @@ def _parse_filter_scan(cfg: dict) -> Callable[[], int]:
 
 def _parse_shelving_demo(cfg: dict) -> Callable[[], int]:
     gain = _check_integer(cfg["gain"], "gain", 1)
-    n_a, trials, seed = (_check_integer(cfg[key], key) for key in ("n_a", "trials", "seed"))
+    n_a, trials, seed = (_check_integer(cfg[k], k, least) for k, least in (("n_a", 0), ("trials", 2), ("seed", None)))
     reservoir = ReservoirSpec.thermal(float(cfg["nbar"]))
     specs = [
         ScenarioSpec(

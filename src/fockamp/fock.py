@@ -5,16 +5,18 @@ States are stored as probability vectors over number states (phase-randomized
 inputs make off-diagonal density-matrix terms irrelevant to every quantity we
 compute); operators are dense complex matrices.  Exact moments of those
 matrices are the oracle the closed-form noise formulas are checked against.
-The ladder matrices, ``tensor`` and ``@`` are the brute-force oracle for the
-operators themselves: ``channels`` fills each operator's few diagonals
-directly, and the tests rebuild each one from these pieces to check it.
+One constructor, ``OperatorMatrix.from_bands``, builds every structured
+operator here and in ``channels`` by filling its few nonzero diagonals.  The
+ladder matrices, ``tensor`` and ``@`` are the brute-force oracle for the
+operators themselves: the tests rebuild each ``channels`` operator from them.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from functools import reduce
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -25,14 +27,11 @@ __all__ = [
     "NumberStats",
     "TruncationError",
     "annihilation",
-    "creation",
     "number_op",
     "identity",
     "tensor",
-    "embed",
     "fock_state",
     "thermal_state",
-    "product_probs",
     "moments",
     "leakage",
     "default_cutoff",
@@ -43,6 +42,7 @@ __all__ = [
 LEAKAGE_TOP_LEVELS = 3
 LEAKAGE_TOL = 1e-10
 MAX_CUTOFF = 100_000  # settle_cutoff gives up beyond this
+MAX_DENSE_SIDE = 4096  # largest dense operator side from_bands allocates: 256 MiB of complex entries
 
 
 class TruncationError(RuntimeError):
@@ -76,6 +76,14 @@ class FockSpace:
         return self.cutoff + 1
 
 
+def _dense_side(spaces: Sequence[FockSpace]) -> int:
+    """Side of the dense matrix on ``spaces``; ValueError above MAX_DENSE_SIDE."""
+    side = math.prod(sp.dim for sp in spaces)
+    if side > MAX_DENSE_SIDE:
+        raise ValueError(f"dense operator side {side} exceeds MAX_DENSE_SIDE = {MAX_DENSE_SIDE}")
+    return side
+
+
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -97,6 +105,21 @@ class OperatorMatrix:
         if mat.ndim != 2 or mat.shape != (side, side):
             raise ValueError(f"matrix shape {mat.shape} does not match factor dimensions (side {side})")
         object.__setattr__(self, "mat", mat)
+
+    @classmethod
+    def from_bands(cls, spaces: Sequence[FockSpace], bands: Mapping[int, object]) -> "OperatorMatrix":
+        """Operator whose only nonzero diagonals are ``bands``: {k: scalar or vector of length side - |k|}.
+
+        Offset k > 0 lies above the main diagonal and k < 0 below it, as in ``np.diag``.
+        """
+        spaces = tuple(spaces)
+        side = _dense_side(spaces)
+        mat = np.zeros((side, side), dtype=complex)
+        for offset, values in bands.items():
+            # entry (i, i + k) of the row-major matrix sits at flat index i * (side + 1) + k
+            start = offset if offset >= 0 else -offset * side
+            mat.reshape(-1)[start :: side + 1][: max(side - abs(offset), 0)] = values
+        return cls(spaces, mat)
 
     @property
     def dim(self) -> int:
@@ -171,21 +194,16 @@ class NumberStats:
 
 def annihilation(space: FockSpace) -> OperatorMatrix:
     """Ladder operator with entries <n-1|a|n> = sqrt(n)."""
-    mat = np.diag(np.sqrt(np.arange(1, space.dim, dtype=float)), k=1)
-    return OperatorMatrix((space,), mat)
-
-
-def creation(space: FockSpace) -> OperatorMatrix:
-    return annihilation(space).dagger()
+    return OperatorMatrix.from_bands((space,), {1: np.sqrt(np.arange(1, space.dim, dtype=float))})
 
 
 def number_op(space: FockSpace) -> OperatorMatrix:
     """diag(0, 1, ..., s)."""
-    return OperatorMatrix((space,), np.diag(np.arange(space.dim, dtype=float)))
+    return OperatorMatrix.from_bands((space,), {0: np.arange(space.dim, dtype=float)})
 
 
 def identity(space: FockSpace) -> OperatorMatrix:
-    return OperatorMatrix((space,), np.eye(space.dim))
+    return OperatorMatrix.from_bands((space,), {0: 1.0})
 
 
 def tensor(*ops: OperatorMatrix) -> OperatorMatrix:
@@ -198,18 +216,6 @@ def tensor(*ops: OperatorMatrix) -> OperatorMatrix:
         mat = np.kron(mat, op.mat)
         spaces.extend(op.spaces)
     return OperatorMatrix(tuple(spaces), mat)
-
-
-def embed(op: OperatorMatrix, factor_index: int, full_shape: Sequence[FockSpace]) -> OperatorMatrix:
-    """Lift a single-factor operator to the full product space with identities elsewhere."""
-    full_shape = tuple(full_shape)
-    if not 0 <= factor_index < len(full_shape):
-        raise IndexError(f"factor index {factor_index} out of range for {len(full_shape)} factors")
-    if op.spaces != (full_shape[factor_index],):
-        raise ValueError("operator does not act on the factor at the given index")
-    factors = [identity(sp) for sp in full_shape]
-    factors[factor_index] = op
-    return tensor(*factors)
 
 
 def fock_state(space: FockSpace, n: int) -> DiagonalState:
@@ -236,18 +242,7 @@ def thermal_state(space: FockSpace, nbar: float) -> DiagonalState:
     return DiagonalState(space, weights / weights.sum())
 
 
-StateLike = Union[DiagonalState, Sequence[DiagonalState]]
-
-
-def product_probs(states: Sequence[DiagonalState]) -> np.ndarray:
-    """Joint probability vector of independent factors (Kronecker of the marginals)."""
-    probs = states[0].probs
-    for st in states[1:]:
-        probs = np.kron(probs, st.probs)
-    return probs
-
-
-def moments(state: StateLike, observable: OperatorMatrix) -> NumberStats:
+def moments(state: DiagonalState | Sequence[DiagonalState], observable: OperatorMatrix) -> NumberStats:
     """Exact <O> and <O^2> - <O>^2 of an observable against a diagonal state.
 
     ``state`` is either a DiagonalState on the observable's full (flattened)
@@ -255,10 +250,8 @@ def moments(state: StateLike, observable: OperatorMatrix) -> NumberStats:
     No diagonality is assumed for the observable itself: the second moment uses
     the full matrix square.
     """
-    if isinstance(state, DiagonalState):
-        probs = state.probs
-    else:
-        probs = product_probs(list(state))
+    states = [state] if isinstance(state, DiagonalState) else state
+    probs = reduce(np.kron, [st.probs for st in states])  # joint law of independent factors
     if probs.shape[0] != observable.dim:
         raise ValueError(f"state dimension {probs.shape[0]} does not match operator side {observable.dim}")
     diag_o = observable.mat.diagonal()

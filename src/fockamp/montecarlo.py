@@ -276,9 +276,9 @@ def _power_sums(spec: ScenarioSpec, trial_offset: int) -> tuple[int, int, int, i
 
 
 def _stats_from_power_sums(n: int, s1: int, s2: int, s3: int, s4: int) -> SampleStats:
+    if n < 2:
+        raise ValueError(f"a variance needs at least 2 trials, got {n}")
     mean = s1 / n
-    if n == 1:
-        return SampleStats(1, mean, 0.0, 0.0)
     # c2 = n^2 m2, c4 = n^4 m4: each estimator is one correctly rounded int/int, >= 0 as m4 >= m2^2
     c2 = n * s2 - s1 * s1
     c4 = n**3 * s4 - 4 * n**2 * s1 * s3 + 6 * n * s1 * s1 * s2 - 3 * s1**4

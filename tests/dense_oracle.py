@@ -2,15 +2,15 @@
 
 ``fockamp.channels`` fills the few nonzero diagonals of each operator directly,
 and ``fockamp.filters`` gives the filtered count's moments in closed form.
-These builds take the long way, through the truncated ``annihilation``/
-``creation`` matrices, ``tensor`` and matrix products, and serve only as the
-oracle those are checked against at small cutoffs.
+These builds take the long way, through the truncated ``annihilation`` matrix
+and its ``dagger()``, ``identity``, ``tensor`` and matrix products, and serve
+only as the oracle those are checked against at small cutoffs.
 """
 import math
 
 import numpy as np
 
-from fockamp import FockSpace, OperatorMatrix, TransferPair, annihilation, creation, identity, tensor
+from fockamp import FockSpace, OperatorMatrix, TransferPair, annihilation, identity, tensor
 
 
 def shift_operator(space: FockSpace, phase: float = 0.0) -> OperatorMatrix:
@@ -36,13 +36,13 @@ def caves_number_out(space_a: FockSpace, space_b: FockSpace, gain: float) -> Ope
     """a_out^dag a_out for a_out = sqrt(G) a x 1 + sqrt(G-1) 1 x b_dag."""
     a_out = math.sqrt(gain) * tensor(annihilation(space_a), identity(space_b)) + math.sqrt(
         gain - 1.0
-    ) * tensor(identity(space_a), creation(space_b))
+    ) * tensor(identity(space_a), annihilation(space_b).dagger())
     return a_out.dagger() @ a_out
 
 
 def phase_sensitive_number_out(space_a: FockSpace, gain: float) -> OperatorMatrix:
     """a_out^dag a_out for a_out = sqrt(G) a + sqrt(G-1) a_dag."""
-    a_out = math.sqrt(gain) * annihilation(space_a) + math.sqrt(gain - 1.0) * creation(space_a)
+    a_out = math.sqrt(gain) * annihilation(space_a) + math.sqrt(gain - 1.0) * annihilation(space_a).dagger()
     return a_out.dagger() @ a_out
 
 

@@ -38,6 +38,14 @@ class TestVerifyCommand:
         assert code == 1
         assert "leakage" in out
 
+    def test_dense_side_bound_fails_its_checks(self, capsys):
+        # at s = 10^5 the three operator checks ask for sides (s + 1)^2, s + 1 and 5 (s + 1): refused, not allocated
+        code, out, _ = run_cli(capsys, "verify", "--cutoff", "100000")
+        assert code == 1
+        failed = [l for l in out.splitlines() if l.startswith("FAIL")]
+        assert len(failed) == 3
+        assert all("exceeds MAX_DENSE_SIDE = 4096" in l for l in failed)
+
     def test_fixed_phase_equals_seeded_phase(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--fixed-phase", "0", "--seed", "7")
         assert code == 0
@@ -352,6 +360,11 @@ class TestDeterminismAndConfig:
         ("filter-scan", json.dumps({"table": False}), []),
         ("filter-scan", json.dumps({"omega_amp": 1e-320}), []),
         ("filter-scan", json.dumps({"omega_amp": 1e-300}), []),
+        # one trial has no variance to estimate; a verify cutoff above MAX_CUTOFF
+        ("mc", "{}", ["--trials", "1"]),
+        ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 2, "trials": 1}]}), []),
+        ("shelving-demo", "{}", ["--trials", "1"]),
+        ("verify", "{}", ["--cutoff", "100001"]),
     ]
 
     def test_bad_config_file_is_a_config_error(self, capsys, tmp_path, monkeypatch):

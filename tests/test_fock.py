@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockamp import (
     DiagonalState,
@@ -12,7 +14,6 @@ from fockamp import (
     check_truncation,
     commutator,
     default_cutoff,
-    embed,
     fock_state,
     identity,
     leakage,
@@ -22,6 +23,7 @@ from fockamp import (
     tensor,
     thermal_state,
 )
+from fockamp.fock import MAX_DENSE_SIDE, _dense_side
 
 
 def truncated_geometric(nbar, s):
@@ -75,13 +77,12 @@ class TestLadderOperators:
 class TestEmbed:
     def test_identity_embeds_to_identity(self):
         shape = [FockSpace(2), FockSpace(3), FockSpace(1)]
-        for idx in range(3):
-            full = embed(identity(shape[idx]), idx, shape)
-            assert np.array_equal(full.mat, np.eye(3 * 4 * 2))
+        full = tensor(*(identity(sp) for sp in shape))
+        assert np.array_equal(full.mat, np.eye(3 * 4 * 2))
 
     def test_kron_order(self):
         shape = [FockSpace(1), FockSpace(1)]
-        lifted = embed(number_op(shape[0]), 0, shape)
+        lifted = tensor(number_op(shape[0]), identity(shape[1]))
         assert np.array_equal(np.diag(lifted.mat).real, [0, 0, 1, 1])
 
     def test_distinct_factors_commute(self):
@@ -89,15 +90,50 @@ class TestEmbed:
         shape = [FockSpace(3), FockSpace(2)]
         x = OperatorMatrix((shape[0],), rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         y = OperatorMatrix((shape[1],), rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        comm = commutator(embed(x, 0, shape), embed(y, 1, shape)).mat
+        comm = commutator(tensor(x, identity(shape[1])), tensor(identity(shape[0]), y)).mat
         assert np.max(np.abs(comm)) <= 1e-13
 
-    def test_index_and_dimension_errors(self):
-        shape = [FockSpace(2), FockSpace(3)]
-        with pytest.raises(IndexError):
-            embed(identity(FockSpace(2)), 2, shape)
+
+def _band_values(draw, length):
+    """A scalar, or a complex vector of the band's length."""
+    part = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+    if draw(st.booleans()):
+        return complex(draw(part), draw(part))
+    real = draw(st.lists(part, min_size=length, max_size=length))
+    imag = draw(st.lists(part, min_size=length, max_size=length))
+    return np.array(real) + 1j * np.array(imag)
+
+
+@st.composite
+def banded(draw):
+    """(side, bands) for a side of 1..13: random offsets, the wrap offset 1 - side, and offsets past the edge."""
+    side = draw(st.integers(1, 13))
+    offsets = draw(st.sets(st.integers(-side - 2, side + 2), max_size=5)) | {1 - side}
+    return side, {o: _band_values(draw, max(side - abs(o), 0)) for o in offsets}
+
+
+class TestFromBands:
+    @settings(max_examples=150, deadline=None)
+    @given(case=banded())
+    def test_matches_sum_of_np_diag(self, case):
+        side, bands = case
+        oracle = np.zeros((side, side), dtype=complex)
+        for o, v in bands.items():
+            length = max(side - abs(o), 0)
+            if length:  # an offset past the edge has no entries
+                oracle += np.diag(np.broadcast_to(np.asarray(v, dtype=complex), (length,)), k=o)
+        op = OperatorMatrix.from_bands([FockSpace(side - 1)], bands)
+        assert op.spaces == (FockSpace(side - 1),)
+        assert np.array_equal(op.mat, oracle)
+
+    def test_side_above_the_bound_is_refused(self):
+        assert _dense_side((FockSpace(63), FockSpace(63))) == MAX_DENSE_SIDE == 4096  # the largest side allowed
+        with pytest.raises(ValueError, match=f"side 4225 exceeds MAX_DENSE_SIDE = {MAX_DENSE_SIDE}"):
+            OperatorMatrix.from_bands((FockSpace(64), FockSpace(64)), {0: 1.0})
+
+    def test_wrong_band_length_is_refused(self):
         with pytest.raises(ValueError):
-            embed(identity(FockSpace(5)), 0, shape)
+            OperatorMatrix.from_bands((FockSpace(3),), {1: np.ones(4)})
 
 
 class TestStates:
@@ -159,7 +195,7 @@ class TestMoments:
 
     def test_product_state_total_number(self):
         sa, sb = FockSpace(4), FockSpace(4)
-        obs = embed(number_op(sa), 0, (sa, sb)) + embed(number_op(sb), 1, (sa, sb))
+        obs = tensor(number_op(sa), identity(sb)) + tensor(identity(sa), number_op(sb))
         stats = moments([fock_state(sa, 1), fock_state(sb, 3)], obs)
         assert (stats.mean, stats.variance) == (4.0, 0.0)
 

@@ -270,7 +270,7 @@ class TestScenarioValidation:
 
     def test_int64_overflow_is_refused_before_sampling(self):
         def spec(model, gain, n_a, reservoir):
-            return ScenarioSpec(model=model, input_n_a=n_a, reservoir=reservoir, trials=1, seed=1, gain_G=gain)
+            return ScenarioSpec(model=model, input_n_a=n_a, reservoir=reservoir, trials=2, seed=1, gain_G=gain)
 
         # the largest trial output G*n_a + max_draw*sum(w) must stay below 2**63
         assert run_scenario(spec("SingleMode", 1, 2**63 - 1, ReservoirSpec.fock(0))).mean == float(2**63 - 1)
@@ -505,15 +505,25 @@ class TestExactEstimators:
     def test_estimators_are_the_exact_values_rounded_once(self, shift, spread):
         x = [shift + v for v in spread]
         n = len(x)
-        stats = _stats_from_power_sums(n, *(sum(v**k for v in x) for k in (1, 2, 3, 4)))
+        sums = [sum(v**k for v in x) for k in (1, 2, 3, 4)]
+        if n == 1:  # one sample has no variance to estimate
+            with pytest.raises(ValueError, match="at least 2 trials"):
+                _stats_from_power_sums(n, *sums)
+            return
+        stats = _stats_from_power_sums(n, *sums)
         mean = Fraction(sum(x), n)
         m2 = sum((v - mean) ** 2 for v in x) / n
         m4 = sum((v - mean) ** 4 for v in x) / n
-        variance = m2 * n / (n - 1) if n > 1 else Fraction(0)
-        var_of_var = (m4 - Fraction(n - 3, n - 1) * m2 * m2) / n if n > 1 else Fraction(0)
+        variance = m2 * n / (n - 1)
+        var_of_var = (m4 - Fraction(n - 3, n - 1) * m2 * m2) / n
         assert stats.mean == float(mean)
         assert stats.variance == float(variance)
         assert stats.std_error_of_variance == math.sqrt(float(var_of_var))
+
+    def test_one_trial_run_is_refused(self):
+        spec = ScenarioSpec(model="SingleMode", input_n_a=1, reservoir=ReservoirSpec.thermal(1.0), trials=1, seed=5, gain_G=2)
+        with pytest.raises(ValueError, match="at least 2 trials"):
+            run_scenario(spec)
 
     def test_signal_shift_leaves_variance_bitwise_unchanged(self):
         def run(gain, n_a):
