@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, OperatorMatrix, _check_integer, _dense_side
-from .noise import _check_real_gain, gain_structure
+from .fock import FockSpace, OperatorMatrix, _check_integer, _check_real, _dense_side
+from .noise import gain_structure
 
 __all__ = [
     "shift_operator",
@@ -98,7 +98,7 @@ def caves_number_out(space_a: FockSpace, space_b: FockSpace, gain: float) -> Ope
     + sqrt(G(G-1)) (a^dag x b^dag + a x b), at most 3 nonzeros per row.
     The gain may be any real >= 1.
     """
-    g = _check_real_gain(gain)
+    g = _check_real(gain, "gain", 1)
     _dense_side((space_a, space_b))  # refused before the O(side) bands are formed
     dim_b = space_b.dim
     n_a = np.arange(space_a.dim, dtype=float)[:, None]
@@ -117,7 +117,7 @@ def phase_sensitive_number_out(space_a: FockSpace, gain: float) -> OperatorMatri
     = G a^dag a + (G-1) (a a^dag)_trunc + sqrt(G(G-1)) (a^dag a^dag + a a),
     the main diagonal and the +-2 diagonals.
     """
-    g = _check_real_gain(gain)
+    g = _check_real(gain, "gain", 1)
     n = np.arange(space_a.dim, dtype=float)
     # a^dag a^dag takes |n> to |n + 2> with weight sqrt((n+1)(n+2)) while n + 2 <= s
     pair = math.sqrt(g * (g - 1.0)) * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))

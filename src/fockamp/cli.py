@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import Callable
 
 from . import filters, noise
-from .fock import NumberStats, _check_integer
-from .montecarlo import ReservoirSpec, ScenarioSpec, analytic_variance, run_scenario
+from .fock import NumberStats, _check_integer, _check_real
+from .montecarlo import MAX_DRAWS, ReservoirSpec, ScenarioSpec, analytic_variance, run_scenario
 from .verify import VerifyConfig, run_checks
 
 __all__ = ["main"]
@@ -48,8 +48,6 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return format(value, ".17g")
     return str(value)
 
@@ -109,8 +107,7 @@ _DEFAULT_MECHANISMS = [
 
 
 def _parse_snr_table(cfg: dict) -> Callable[[], int]:
-    dn_b = float(cfg["dn_b"])
-    n_a = noise._check_snr_inputs(cfg["n_a"], dn_b)
+    n_a, dn_b = noise._check_snr_inputs(cfg["n_a"], cfg["dn_b"])
     families = []
     for entry in _typed(cfg["mechanisms"], list, "mechanisms"):
         tag = _typed(entry, dict, "mechanism").get("tag")
@@ -149,9 +146,9 @@ def _reservoir_from_config(cfg) -> ReservoirSpec:
     if kind == "fock":
         return ReservoirSpec.fock(cfg["n"])
     if kind == "thermal":
-        return ReservoirSpec.thermal(float(cfg["nbar"]))
+        return ReservoirSpec.thermal(cfg["nbar"])
     if kind == "empirical":
-        return ReservoirSpec.empirical([float(p) for p in cfg["probs"]])
+        return ReservoirSpec.empirical(cfg["probs"])
     raise ConfigError(f"unknown reservoir kind {kind!r}")
 
 
@@ -220,8 +217,8 @@ def _parse_mc(cfg: dict) -> Callable[[], int]:
 
 
 def _parse_filter_scan(cfg: dict) -> Callable[[], int]:
-    env = filters.ThermalEnv(float(cfg["temperature"]))
-    nbar_amp = filters.thermal_occupancy(float(cfg["omega_amp"]), env)
+    env = filters.ThermalEnv(cfg["temperature"])
+    nbar_amp = filters.thermal_occupancy(cfg["omega_amp"], env)
     b_env = NumberStats(nbar_amp, nbar_amp * (nbar_amp + 1.0))
     gain = noise.gain_structure(cfg["gain"])[0]
     n_a = _check_integer(cfg["n_a"], "n_a", 0)
@@ -232,10 +229,9 @@ def _parse_filter_scan(cfg: dict) -> Callable[[], int]:
         pairs = filters.read_transfer_table(cfg["table"])
     else:
         count = _check_integer(cfg["points"], "points", 1)
-        lo, hi = float(cfg["omega_min"]), float(cfg["omega_max"])
+        lo, hi, omega0 = (_check_real(cfg[key], key) for key in ("omega_min", "omega_max", "omega0"))
         step = (hi - lo) / (count - 1) if count > 1 else 0.0
-        omega0, gamma = float(cfg["omega0"]), float(cfg["gamma"])
-        pairs = [filters.lorentzian_transfer(lo + k * step, omega0, gamma) for k in range(count)]
+        pairs = [filters.lorentzian_transfer(lo + k * step, omega0, cfg["gamma"]) for k in range(count)]
     path = _out_path(cfg, "filter_scan.csv")
 
     def run() -> int:
@@ -258,7 +254,9 @@ def _parse_filter_scan(cfg: dict) -> Callable[[], int]:
 def _parse_shelving_demo(cfg: dict) -> Callable[[], int]:
     gain = _check_integer(cfg["gain"], "gain", 1)
     n_a, trials, seed = (_check_integer(cfg[k], k, least) for k, least in (("n_a", 0), ("trials", 2), ("seed", None)))
-    reservoir = ReservoirSpec.thermal(float(cfg["nbar"]))
+    reservoir = ReservoirSpec.thermal(cfg["nbar"])
+    if trials * gain * (gain + 1) // 2 > MAX_DRAWS:  # one draw slot per cavity mode over G..1 modes, before G specs
+        raise ConfigError(f"{trials} trials of G(G+1)/2 = {gain * (gain + 1) // 2} draw slots exceed MAX_DRAWS = {MAX_DRAWS}")
     specs = [
         ScenarioSpec(
             model="Shelving",

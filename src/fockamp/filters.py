@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fock import NumberStats
+from .fock import NumberStats, _check_real
 from .noise import gain_structure, var_single_mode
 
 __all__ = [
@@ -57,8 +57,7 @@ class ThermalEnv:
     temperature: float
 
     def __post_init__(self):
-        if not 0 < self.temperature < math.inf:
-            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
+        object.__setattr__(self, "temperature", _check_real(self.temperature, "temperature", 0, strict=True))
 
     def ratio(self, omega: float) -> float:
         """Dimensionless hbar*omega / (k_B T)."""
@@ -72,16 +71,14 @@ def lorentzian_transfer(omega: float, omega0: float, gamma: float) -> TransferPa
     is the default filter model; externally tabulated (T, R) pairs can be used
     anywhere a TransferPair is accepted.
     """
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"linewidth must be finite and positive, got {gamma}")
+    gamma = _check_real(gamma, "linewidth", 0, strict=True)
     denom = 1j * (omega - omega0) + gamma / 2.0
     return TransferPair(omega, complex((gamma / 2.0) / denom), complex(1j * (omega - omega0) / denom))
 
 
 def thermal_occupancy(omega: float, env: ThermalEnv) -> float:
     """Bose-Einstein mean occupation 1/(exp(hbar*omega/kT) - 1)."""
-    if not omega > 0:
-        raise ValueError(f"frequency must be positive, got {omega}")
+    omega = _check_real(omega, "frequency", 0, strict=True)
     denom = math.expm1(env.ratio(omega))
     if denom == 0.0 or 1.0 / denom == math.inf:
         raise ValueError(f"occupancy at frequency {omega} is not finite")

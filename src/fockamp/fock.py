@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Mapping, Optional, Sequence
@@ -60,6 +61,18 @@ def _check_integer(value, name: str, minimum: Optional[int] = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _check_real(value, name: str, minimum: Optional[float] = None, strict: bool = False) -> float:
+    """The one real check: an int or float within the float range, >= ``minimum`` (> it when ``strict``), as a float.
+
+    bool, str, nan, +-inf and values out of range raise ValueError; the exact types skip the slower numbers.Real ABC.
+    """
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a real number within the float range, got {value!r}")
+    if minimum is not None and (value <= minimum if strict else value < minimum):
+        raise ValueError(f"{name} must be a real number {'>' if strict else '>='} {minimum:g}, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -233,8 +246,7 @@ def thermal_state(space: FockSpace, nbar: float) -> DiagonalState:
     Truncation is renormalized rather than clipped, so the probabilities sum to
     one exactly; the bias this introduces is controlled by the leakage check.
     """
-    if not 0 <= nbar < math.inf:
-        raise ValueError(f"mean occupation must be finite and nonnegative, got {nbar}")
+    nbar = _check_real(nbar, "mean occupation", 0)
     if nbar == 0:
         return fock_state(space, 0)
     q = nbar / (nbar + 1.0)

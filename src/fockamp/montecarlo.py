@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fock import NumberStats, _check_integer
+from .fock import NumberStats, _check_integer, _check_real
 from .noise import gain_structure
 
 __all__ = [
@@ -45,6 +45,7 @@ _PHI = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _BLOCK = 1 << 17
+MAX_DRAWS = 1 << 36  # most reservoir draws (trials * draw slots) one run may take: ~40 min at 3e7 draws/s
 
 
 def _mix_u64(z: np.ndarray) -> np.ndarray:
@@ -82,19 +83,14 @@ class ReservoirSpec:
         if self.kind == "fock":
             object.__setattr__(self, "n", _check_integer(self.n, "fock occupation", 0))
         elif self.kind == "thermal":
-            if not 0 <= self.nbar < math.inf:
-                raise ValueError(f"thermal mean must be finite and nonnegative, got {self.nbar}")
+            object.__setattr__(self, "nbar", _check_real(self.nbar, "thermal mean", 0))
             if self.nbar / (self.nbar + 1.0) == 1.0:
                 raise ValueError(f"thermal mean {self.nbar} too large: q = nbar/(nbar+1) rounds to 1")
         elif self.kind == "empirical":
-            p = np.asarray(self.probs, dtype=float)
-            if p.ndim != 1 or p.size == 0:
-                raise ValueError("empirical law needs a nonempty probability vector")
-            if not np.all((p >= 0) & (p < math.inf)):
-                raise ValueError("empirical probabilities must be finite and nonnegative")
-            if abs(float(p.sum()) - 1.0) > 1e-12:
-                raise ValueError(f"empirical probabilities sum to {p.sum()}, expected 1 within 1e-12")
-            object.__setattr__(self, "probs", tuple(float(x) for x in p))
+            probs = tuple(_check_real(p, "empirical probability", 0) for p in self.probs)  # () sums to 0
+            if abs(sum(probs) - 1.0) > 1e-12:
+                raise ValueError(f"empirical probabilities sum to {sum(probs)}, expected 1 within 1e-12")
+            object.__setattr__(self, "probs", probs)
         else:
             raise ValueError(f"unknown reservoir kind {self.kind!r}")
 
@@ -104,7 +100,7 @@ class ReservoirSpec:
 
     @classmethod
     def thermal(cls, nbar: float) -> "ReservoirSpec":
-        return cls("thermal", nbar=float(nbar))
+        return cls("thermal", nbar=nbar)
 
     @classmethod
     def empirical(cls, probs: Sequence[float]) -> "ReservoirSpec":
@@ -220,6 +216,9 @@ class ScenarioSpec:
             raise ValueError(f"a trial can count up to {peak} excitations, beyond the int64 range")
         if sum(m * w * w for w, m in classes) > sys.float_info.max:
             raise ValueError("the weight sum of squares behind the analytic variance is beyond the float range")
+        draws = self.trials * sum(m for _, m in classes)
+        if draws > MAX_DRAWS and self.reservoir.kind != "fock" and self.reservoir._max_draw > 0:  # draw-free is O(1)
+            raise ValueError(f"the run needs {draws} reservoir draws (trials * draw slots), above MAX_DRAWS = {MAX_DRAWS}")
 
 
 def _weight_classes(spec: ScenarioSpec) -> list[tuple[int, int]]:
@@ -294,5 +293,7 @@ def run_scenario(spec: ScenarioSpec, trial_offset: int = 0) -> SampleStats:
     so a run of 2T trials decomposes exactly into two T-trial runs at offsets
     0 and T.
     """
+    if spec.trials < 2:  # refused before any sampling, as _stats_from_power_sums would refuse it after
+        raise ValueError(f"a variance needs at least 2 trials, got {spec.trials}")
     return _stats_from_power_sums(spec.trials, *_power_sums(spec, trial_offset))
 

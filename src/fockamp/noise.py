@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .fock import NumberStats, _check_integer
+from .fock import NumberStats, _check_integer, _check_real
 
 __all__ = [
     "MECHANISM_TAGS",
@@ -41,13 +40,6 @@ MECHANISM_TAGS = (
 )
 _LINEAR = ("PhaseInsensitive", "PhaseSensitive")
 _MULTISTEP = ("MultiStepSingleMode", "MultiStepMultiMode")
-
-
-def _check_real_gain(gain) -> float:
-    """The one gain validator: a real in [1, float max] (bool, nan and inf are refused)."""
-    if isinstance(gain, bool) or not isinstance(gain, numbers.Real) or not 1.0 <= gain <= sys.float_info.max:
-        raise ValueError(f"gain must be a real number >= 1 within the float range, got {gain!r}")
-    return float(gain)
 
 
 def gain_structure(G, g=None, N=None) -> tuple[int, Optional[int], Optional[int]]:
@@ -98,7 +90,7 @@ class Mechanism:
         if self.tag not in MECHANISM_TAGS:
             raise ValueError(f"unknown mechanism tag {self.tag!r}")
         if self.tag in _LINEAR:
-            structure = (_check_real_gain(self.gain_G), None, None)
+            structure = (_check_real(self.gain_G, "gain", 1), None, None)
         elif self.tag in _MULTISTEP:
             if self.step_gain_g is None:
                 raise ValueError(f"{self.tag} requires a per-step gain")
@@ -150,7 +142,7 @@ def _in_float_range(formula):
 @_in_float_range
 def var_caves(gain: float, a: NumberStats, b: NumberStats) -> float:
     """Output-number variance of the phase-insensitive linear amplifier."""
-    g = _check_real_gain(gain)
+    g = _check_real(gain, "gain", 1)
     return (
         g * g * a.variance
         + (g - 1.0) ** 2 * b.variance
@@ -161,7 +153,7 @@ def var_caves(gain: float, a: NumberStats, b: NumberStats) -> float:
 @_in_float_range
 def var_phase_sensitive(gain: float, a: NumberStats) -> float:
     """Output-number variance of the phase-sensitive linear amplifier."""
-    g = _check_real_gain(gain)
+    g = _check_real(gain, "gain", 1)
     return (6.0 * g * (g - 1.0) + 1.0) * a.variance + 2.0 * g * (g - 1.0) * (
         a.mean * a.mean + a.mean + 1.0
     )
@@ -197,15 +189,13 @@ def var_multistep_multi(total_gain: int, step_gain: int, a: NumberStats, b: Numb
     return big_g * (big_g - 1.0) / (g - 1.0) * b.variance + big_g * big_g * a.variance
 
 
-def _check_snr_inputs(n_a, dn_b) -> int:
-    """The signal and noise scale of ``snr``, n_a as an int: n_a an integer >= 1 within the float range,
-    dn_b finite and >= 0."""
+def _check_snr_inputs(n_a, dn_b) -> tuple[int, float]:
+    """The signal and noise scale of ``snr`` as (int, float): n_a an integer >= 1 within the float range,
+    dn_b a real >= 0."""
     n_a = _check_integer(n_a, "n_a", 1)
     if n_a > sys.float_info.max:
         raise ValueError("n_a is beyond the float range")
-    if not 0.0 <= dn_b < math.inf:
-        raise ValueError(f"dn_b must be finite and nonnegative, got {dn_b}")
-    return n_a
+    return n_a, _check_real(dn_b, "dn_b", 0)
 
 
 def snr(mechanism: Mechanism, n_a: int, dn_b: float) -> float:
@@ -215,13 +205,15 @@ def snr(mechanism: Mechanism, n_a: int, dn_b: float) -> float:
     when the noise denominator vanishes (zero-noise reservoir, or G = 1 for the
     linear mechanisms, where no noise is added at all).
     """
-    n_a = _check_snr_inputs(n_a, dn_b)
+    n_a, dn_b = _check_snr_inputs(n_a, dn_b)
     g_tot = mechanism.gain_G
     tag = mechanism.tag
+    # each ratio is written so that no float G^2, G*(g - 1) or 2G(G - 1) is formed: finite up to G = float max
     if tag == "PhaseSensitive":
         if g_tot == 1.0:
             return math.inf
-        return (2.0 * g_tot - 1.0) / math.sqrt(2.0 * g_tot * (g_tot - 1.0)) * n_a
+        half = 0.5 * g_tot  # (2G - 1)/sqrt(2G(G - 1)) with G halved; G - 1 stays exact near G = 1
+        return math.sqrt(2.0) * (half - 0.25) / (math.sqrt(half) * math.sqrt(half - 0.5)) * n_a
     if dn_b == 0.0:
         return math.inf
     if tag == "PhaseInsensitive":
@@ -234,6 +226,7 @@ def snr(mechanism: Mechanism, n_a: int, dn_b: float) -> float:
         return math.sqrt(g_tot) * n_a / dn_b
     g_step = mechanism.step_gain_g
     if tag == "MultiStepSingleMode":
-        return g_tot * math.sqrt(g_step * g_step - 1.0) * n_a / (math.sqrt(g_tot * g_tot - 1.0) * dn_b)
+        # 1/G/G, not 1/(G*G): an int G*G beyond the float range cannot be converted
+        return math.sqrt(g_step * g_step - 1.0) / math.sqrt(1.0 - 1.0 / g_tot / g_tot) * n_a / dn_b
     # MultiStepMultiMode
-    return math.sqrt(g_tot * (g_step - 1.0)) * n_a / (math.sqrt(g_tot - 1.0) * dn_b)
+    return math.sqrt(g_tot) * math.sqrt(g_step - 1.0) / math.sqrt(g_tot - 1.0) * n_a / dn_b

@@ -21,6 +21,7 @@ from .fock import (
     OperatorMatrix,
     TruncationError,
     _check_integer,
+    _check_real,
     annihilation,
     check_truncation,
     default_cutoff,
@@ -54,15 +55,12 @@ class VerifyConfig:
     fixed_phase: Optional[float] = None
 
     def __post_init__(self):
-        phase = None if self.fixed_phase is None else float(self.fixed_phase)
-        if phase is not None and not math.isfinite(phase):
-            raise ValueError(f"fixed_phase must be finite, got {phase}")
-        object.__setattr__(self, "fixed_phase", phase)
+        object.__setattr__(self, "fixed_phase", None if self.fixed_phase is None else _check_real(self.fixed_phase, "fixed_phase"))
         cutoff = None if self.cutoff is None else _check_integer(self.cutoff, "cutoff", 0)
         if cutoff is not None and cutoff > MAX_CUTOFF:  # settle_cutoff never goes past it either
             raise ValueError(f"cutoff must be at most {MAX_CUTOFF}, got {cutoff}")
         object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "gain", None if self.gain is None else noise._check_real_gain(self.gain))
+        object.__setattr__(self, "gain", None if self.gain is None else _check_real(self.gain, "gain", 1))
         object.__setattr__(self, "seed", _check_integer(self.seed, "seed"))
 
 

@@ -239,6 +239,19 @@ def test_default_outputs_are_pinned(capsys, tmp_path, monkeypatch):
     assert digests == DEFAULT_OUTPUT_SHA256
 
 
+def _in_each_float_field(value):
+    """(command, config) with ``value`` in one CLI float field, for each float field."""
+    reservoirs = ({"kind": "thermal", "nbar": value}, {"kind": "empirical", "probs": [value]})
+    filter_keys = ("temperature", "omega_amp", "omega_min", "omega_max", "omega0", "gamma")
+    return [
+        ("snr-table", {"dn_b": value}),
+        *(("mc", {"scenarios": [{"model": "GModes", "G": 2, "reservoir": r}]}) for r in reservoirs),
+        ("shelving-demo", {"nbar": value}),
+        *(("filter-scan", {key: value}) for key in filter_keys),
+        ("verify", {"fixed_phase": value}),
+    ]
+
+
 class TestDeterminismAndConfig:
     COMMANDS = [
         ("snr-table", []),
@@ -365,6 +378,12 @@ class TestDeterminismAndConfig:
         ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 2, "trials": 1}]}), []),
         ("shelving-demo", "{}", ["--trials", "1"]),
         ("verify", "{}", ["--cutoff", "100001"]),
+        # a JSON string or a boolean in a float field; float() would have read each as 1.0, a valid value
+        *((command, json.dumps(config), []) for bad in ("1", True) for command, config in _in_each_float_field(bad)),
+        # runs above MAX_DRAWS: 10**400 trials, a thermal cascade of 2**31 - 2 draw slots, 2 * 10**8 shelving slots
+        ("mc", json.dumps({"trials": 10**400}), []),
+        ("mc", json.dumps({"scenarios": [{"model": "MultiStepMulti", "g": 2, "N": 30, "reservoir": {"kind": "thermal", "nbar": 1.0}}]}), []),
+        ("shelving-demo", "{}", ["--gain", "20000"]),
     ]
 
     def test_bad_config_file_is_a_config_error(self, capsys, tmp_path, monkeypatch):
@@ -398,8 +417,8 @@ _JSONISH = st.recursive(
     max_leaves=8,
 )
 _TOP = st.one_of(_JSONISH, st.just(10**400))
-# a trial count of 10**400 is a valid config that would run for ever, so trials stay small
-_FIELDS = {"trials": _JSONISH, "grid": st.one_of(_TOP, st.lists(st.one_of(_SCALARS, st.just(10**400)), max_size=3))}
+# a large trial count exits 2 only above MAX_DRAWS, so trials stay small or reach 10**400
+_FIELDS = {"trials": _TOP, "grid": st.one_of(_TOP, st.lists(st.one_of(_SCALARS, st.just(10**400)), max_size=3))}
 _BASE = {"mc": {"trials": 3}, "shelving-demo": {"trials": 3}}
 # the config keys each command reads
 _CONFIG_KEYS = {

@@ -1,7 +1,7 @@
 """Gain and integer inputs go through one check each, at every entry point.
 
-Every gain-taking entry point refuses nan, +-inf, bool and gains below 1 with
-ValueError.  Every integer-taking entry point also refuses non-integral values
+Every gain-taking entry point refuses nan, +-inf, bool, strings and gains below
+1 with ValueError.  Every integer-taking entry point also refuses non-integral values
 and values below its minimum, and reads an integral float k as the int k.
 """
 import math
@@ -67,7 +67,7 @@ ENTRY_POINTS = {
 }
 
 BAD_GAINS = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, True, False]),
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, "2"]),
     st.floats(max_value=1.0, exclude_max=True),
     st.integers(max_value=0),
 )
@@ -134,7 +134,7 @@ INTEGER_ENTRY_POINTS = {
 }
 
 NOT_INTEGERS = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, True, False]),
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, "2"]),
     st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
 )
 

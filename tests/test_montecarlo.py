@@ -26,7 +26,7 @@ from fockamp import (
     var_single_mode,
 )
 from fockamp.cli import main
-from fockamp.montecarlo import _BLOCK, _power_sums, _stats_from_power_sums, _uniforms
+from fockamp.montecarlo import _BLOCK, MAX_DRAWS, _power_sums, _stats_from_power_sums, _uniforms
 
 
 def z_score(stats, target):
@@ -288,6 +288,20 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="int64"):
             spec("GModes", 251, 0, ReservoirSpec.thermal(1e15))
 
+    def test_draw_bound_counts_trials_times_draw_slots(self):
+        def spec(reservoir, trials):  # 2**11 - 2 = 2046 draw slots per trial
+            return ScenarioSpec(
+                model="MultiStepMulti", input_n_a=0, reservoir=reservoir, trials=trials, seed=1, step_gain_g=2, steps_N=10
+            )
+
+        spec(ReservoirSpec.thermal(1.0), MAX_DRAWS // 2046)
+        for reservoir in (ReservoirSpec.thermal(1.0), ReservoirSpec.empirical([0.5, 0.5])):
+            with pytest.raises(ValueError, match="MAX_DRAWS"):
+                spec(reservoir, MAX_DRAWS // 2046 + 1)
+        # a reservoir that always draws the same count runs in O(1) at any trial count
+        for reservoir in (ReservoirSpec.fock(1), ReservoirSpec.thermal(0.0), ReservoirSpec.empirical([1.0])):
+            spec(reservoir, 10**400)
+
     def test_cascade_construction_is_linear_in_steps(self):
         # 2**21 - 2 draws per trial, but only 20 weight classes are ever built
         tracemalloc.start()
@@ -520,7 +534,11 @@ class TestExactEstimators:
         assert stats.variance == float(variance)
         assert stats.std_error_of_variance == math.sqrt(float(var_of_var))
 
-    def test_one_trial_run_is_refused(self):
+    def test_one_trial_run_is_refused(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a one-trial run is refused before any uniforms are drawn")
+
+        monkeypatch.setattr("fockamp.montecarlo._uniforms", refuse)
         spec = ScenarioSpec(model="SingleMode", input_n_a=1, reservoir=ReservoirSpec.thermal(1.0), trials=1, seed=5, gain_G=2)
         with pytest.raises(ValueError, match="at least 2 trials"):
             run_scenario(spec)

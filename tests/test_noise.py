@@ -1,6 +1,11 @@
 import math
+import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fockamp import (
     FockSpace,
@@ -144,6 +149,55 @@ class TestSnr:
     def test_multistep_values(self):
         assert snr(Mechanism.multistep_single(2, 2), 1, 1.0) == pytest.approx(4 * math.sqrt(3) / math.sqrt(15))
         assert snr(Mechanism.multistep_multi(2, 2), 1, 1.0) == pytest.approx(2 / math.sqrt(3))
+
+
+def _exact_root(square: Fraction) -> float:
+    """sqrt of an exact rational, correct to far below a float ulp."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float((Decimal(square.numerator) / Decimal(square.denominator)).sqrt())
+
+
+def _cascade(draw):
+    """(g, N) with g**N within the float range."""
+    g = draw(st.integers(min_value=2, max_value=10**6))
+    n_max = 1
+    while g ** (n_max + 1) <= sys.float_info.max:
+        n_max += 1
+    return g, draw(st.integers(min_value=1, max_value=n_max))
+
+
+class TestSnrAgainstExactOracle:
+    """Each SNR is finite and within 1e-12 of exact rational arithmetic, up to G = float max."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cascade=st.composite(_cascade)())
+    @example(cascade=(2, 600))
+    @example(cascade=(3, 646))
+    @example(cascade=(2, 1023))
+    def test_cascades(self, cascade):
+        g, n = cascade
+        big_g = g**n
+        exact = {
+            # (g^2 - 1) G^2 / (G^2 - 1) and G (g - 1) / (G - 1)
+            Mechanism.multistep_single(g, n): Fraction((g * g - 1) * big_g * big_g, big_g * big_g - 1),
+            Mechanism.multistep_multi(g, n): Fraction(big_g * (g - 1), big_g - 1),
+        }
+        for mech, square in exact.items():
+            value = snr(mech, 1, 1.0)
+            assert math.isfinite(value)
+            assert value == pytest.approx(_exact_root(square), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(gain=st.floats(min_value=1.0, max_value=sys.float_info.max, exclude_min=True))
+    @example(gain=1e308)
+    @example(gain=sys.float_info.max)
+    @example(gain=1.0 + 2.0**-52)
+    def test_phase_sensitive(self, gain):
+        big_g = Fraction(gain)
+        value = snr(Mechanism.phase_sensitive(gain), 1, 1.0)
+        assert math.isfinite(value)
+        assert value == pytest.approx(_exact_root((2 * big_g - 1) ** 2 / (2 * big_g * (big_g - 1))), rel=1e-12)
 
 
 class TestOrderings:
