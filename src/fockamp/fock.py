@@ -66,9 +66,10 @@ def _check_integer(value, name: str, minimum: Optional[int] = None) -> int:
 def _check_real(value, name: str, minimum: Optional[float] = None, strict: bool = False) -> float:
     """The one real check: an int or float within the float range, >= ``minimum`` (> it when ``strict``), as a float.
 
-    bool, str, nan, +-inf and values out of range raise ValueError; the exact types skip the slower numbers.Real ABC.
+    bool, str, nan, +-inf and values out of range raise ValueError.  The slow numbers.Real ABC test comes last.
     """
-    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)) or not abs(value) <= sys.float_info.max:
+    real = isinstance(value, float) or (isinstance(value, (int, numbers.Real)) and not isinstance(value, bool))
+    if not real or not abs(value) <= sys.float_info.max:
         raise ValueError(f"{name} must be a real number within the float range, got {value!r}")
     if minimum is not None and (value <= minimum if strict else value < minimum):
         raise ValueError(f"{name} must be a real number {'>' if strict else '>='} {minimum:g}, got {value!r}")
@@ -247,10 +248,8 @@ def thermal_state(space: FockSpace, nbar: float) -> DiagonalState:
     one exactly; the bias this introduces is controlled by the leakage check.
     """
     nbar = _check_real(nbar, "mean occupation", 0)
-    if nbar == 0:
-        return fock_state(space, 0)
     q = nbar / (nbar + 1.0)
-    weights = q ** np.arange(space.dim)
+    weights = q ** np.arange(space.dim)  # 0.0**0 = 1, so nbar = 0 gives the vacuum exactly
     return DiagonalState(space, weights / weights.sum())
 
 

@@ -104,7 +104,7 @@ class ReservoirSpec:
 
     @classmethod
     def empirical(cls, probs: Sequence[float]) -> "ReservoirSpec":
-        return cls("empirical", probs=tuple(probs))
+        return cls("empirical", probs=probs)
 
     @property
     def stats(self) -> NumberStats:

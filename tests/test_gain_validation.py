@@ -1,8 +1,8 @@
 """Gain and integer inputs go through one check each, at every entry point.
 
 Every gain-taking entry point refuses nan, +-inf, bool, strings and gains below
-1 with ValueError.  Every integer-taking entry point also refuses non-integral values
-and values below its minimum, and reads an integral float k as the int k.
+1 with ValueError.  Every integer-taking entry point also refuses non-integral
+values and values below its minimum, and reads an integral float k as the int k.
 """
 import math
 import sys
