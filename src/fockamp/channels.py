@@ -37,7 +37,7 @@ COMMUTATOR_TOL = 1e-12  # check_pegg_barnett's largest accepted entry deviation
 
 def shift_operator(space: FockSpace, phase: float = 0.0) -> OperatorMatrix:
     """Cyclic lowering operator: <N-1|S|N> = e^{i phase} for N > 0, wraparound <s|S|0> = 1."""
-    return OperatorMatrix.from_bands((space,), {1: np.exp(1j * phase), 1 - space.dim: 1.0})
+    return OperatorMatrix.from_bands((space,), {1: np.exp(1j * _check_real(phase, "phase")), 1 - space.dim: 1.0})
 
 
 def nonlinear_bout(space_b: FockSpace, space_a: FockSpace, gain: int, phase: float = 0.0) -> OperatorMatrix:
@@ -48,7 +48,7 @@ def nonlinear_bout(space_b: FockSpace, space_a: FockSpace, gain: int, phase: flo
     involved.  The gain must be an integer: the scheme transfers G excitations
     per input photon between number states.
     """
-    g = gain_structure(gain)[0]
+    g, phase = gain_structure(gain)[0], _check_real(phase, "phase")
     side = _dense_side((space_b, space_a))  # refused before the O(side) root is formed
     dim_a = space_a.dim
     n_b = np.arange(space_b.dim)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,19 +54,13 @@ def _mix_u64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _stream_keys(seed: int, draw_index: int) -> tuple[int, int]:
-    slot = _mix_u64(np.array([(draw_index + 1) * _PHI & _MASK], dtype=np.uint64))
-    base = _mix_u64(np.array([seed & _MASK], dtype=np.uint64) ^ slot)
-    return int(base[0]), int(_mix_u64(base + np.uint64(_MIX2))[0])
-
-
-def _uniforms(seed: int, draw_index: int, start: int, count: int) -> np.ndarray:
-    """Uniforms in [0, 1) for trials start..start+count-1 of one draw slot."""
-    key1, key2 = _stream_keys(seed, draw_index)
+def _uniforms(seed: int, slots, start: int, count: int) -> np.ndarray:
+    """Uniforms in [0, 1) for trials start..start+count-1: one row per draw slot, a 1-D row for a single slot."""
+    slot = np.asarray(slots, dtype=np.uint64).reshape(-1, 1)  # an array, so the key arithmetic wraps without warning
+    key = _mix_u64(np.uint64(seed & _MASK) ^ _mix_u64((slot + np.uint64(1)) * np.uint64(_PHI)))
     t = np.arange(start, start + count, dtype=np.uint64)
-    state = t * np.uint64(_PHI) + np.uint64(key1)
-    z = _mix_u64(_mix_u64(state) ^ np.uint64(key2))
-    return (z >> np.uint64(11)) * (2.0**-53)
+    z = _mix_u64(_mix_u64(t * np.uint64(_PHI) + key) ^ _mix_u64(key + np.uint64(_MIX2)))
+    return ((z >> np.uint64(11)) * (2.0**-53)).reshape(np.shape(slots) + (count,))
 
 
 @dataclass(frozen=True)
@@ -150,8 +143,11 @@ class ReservoirSpec:
 
 
 def reservoir_draws(spec: ReservoirSpec, count: int, seed: int, draw_index: int = 0) -> np.ndarray:
-    """Vectorized draws for trials 0..count-1 of one draw slot."""
-    return spec._draw_block(_uniforms(seed, draw_index, 0, count))
+    """Draws for trials 0..count-1 of one draw slot: count >= 0, any integer seed, slot in [0, 2**64)."""
+    count, draw_index = (_check_integer(value, name, 0) for name, value in (("count", count), ("draw_index", draw_index)))
+    if draw_index > _MASK:  # the slot key wraps modulo 2**64, so slot 2**64 would repeat slot 0
+        raise ValueError(f"draw_index must be below 2**64, got {draw_index}")
+    return spec._draw_block(_uniforms(_check_integer(seed, "seed"), draw_index, 0, count))
 
 
 @dataclass(frozen=True)
@@ -264,9 +260,12 @@ def _power_sums(spec: ScenarioSpec, trial_offset: int) -> tuple[int, int, int, i
     for start in range(trial_offset, end, _BLOCK):
         count = min(_BLOCK, end - start)
         x = np.full(count, signal, dtype=np.int64)
-        for j, w in enumerate(chain.from_iterable(repeat(w, m) for w, m in classes)):
-            u = _uniforms(spec.seed, j, start, count)
-            x += w * spec.reservoir._draw_block(u)
+        first = 0  # a class's slots follow its predecessors' in draw-slot order
+        for w, m in classes:
+            for lo in range(first, first + m, _BLOCK // count):  # chunks of at most _BLOCK uniforms
+                u = _uniforms(spec.seed, np.arange(lo, min(lo + _BLOCK // count, first + m)), start, count)
+                x += w * spec.reservoir._draw_block(u).sum(axis=0)
+            first += m
         values, counts = (a.astype(object) for a in np.unique(x, return_counts=True))
         for k in range(4):
             counts = counts * values

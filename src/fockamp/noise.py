@@ -203,30 +203,31 @@ def snr(mechanism: Mechanism, n_a: int, dn_b: float) -> float:
 
     dn_b is the standard deviation of the reservoir occupation.  Returns +inf
     when the noise denominator vanishes (zero-noise reservoir, or G = 1 for the
-    linear mechanisms, where no noise is added at all).
+    linear mechanisms, where no noise is added at all); any other SNR beyond
+    the float range, such as n_a / dn_b for a subnormal dn_b, is a ValueError.
     """
     n_a, dn_b = _check_snr_inputs(n_a, dn_b)
-    g_tot = mechanism.gain_G
-    tag = mechanism.tag
-    # each ratio is written so that no float G^2, G*(g - 1) or 2G(G - 1) is formed: finite up to G = float max
-    if tag == "PhaseSensitive":
-        if g_tot == 1.0:
-            return math.inf
-        half = 0.5 * g_tot  # (2G - 1)/sqrt(2G(G - 1)) with G halved; G - 1 stays exact near G = 1
-        return math.sqrt(2.0) * (half - 0.25) / (math.sqrt(half) * math.sqrt(half - 0.5)) * n_a
-    if dn_b == 0.0:
+    g_tot, g_step, tag = mechanism.gain_G, mechanism.step_gain_g, mechanism.tag
+    if (tag in _LINEAR and g_tot == 1.0) or (dn_b == 0.0 and tag != "PhaseSensitive"):
         return math.inf
-    if tag == "PhaseInsensitive":
-        if g_tot == 1.0:
-            return math.inf
-        return g_tot / (g_tot - 1.0) * n_a / dn_b
-    if tag == "SingleMode":
-        return g_tot * n_a / dn_b
-    if tag == "GModes":
-        return math.sqrt(g_tot) * n_a / dn_b
-    g_step = mechanism.step_gain_g
-    if tag == "MultiStepSingleMode":
-        # 1/G/G, not 1/(G*G): an int G*G beyond the float range cannot be converted
-        return math.sqrt(g_step * g_step - 1.0) / math.sqrt(1.0 - 1.0 / g_tot / g_tot) * n_a / dn_b
-    # MultiStepMultiMode
-    return math.sqrt(g_tot) * math.sqrt(g_step - 1.0) / math.sqrt(g_tot - 1.0) * n_a / dn_b
+    # each ratio is written so that no float G^2, g^2, G*(g - 1) or 2G(G - 1) is formed: finite up to G = float max
+    if tag == "PhaseSensitive":
+        half = 0.5 * g_tot  # (2G - 1)/sqrt(2G(G - 1)) with G halved; G - 1 stays exact near G = 1
+        value = math.sqrt(2.0) * (half - 0.25) / (math.sqrt(half) * math.sqrt(half - 0.5)) * n_a
+    elif tag == "PhaseInsensitive":
+        value = g_tot / (g_tot - 1.0) * n_a / dn_b
+    elif tag == "SingleMode":
+        try:
+            value = g_tot * n_a / dn_b
+        except OverflowError:  # an int G * n_a no float holds
+            value = math.inf
+    elif tag == "GModes":
+        value = math.sqrt(g_tot) * n_a / dn_b
+    elif tag == "MultiStepSingleMode":
+        # sqrt(g^2 - 1) as sqrt(g - 1) sqrt(g + 1), exact at g = 2, and 1/G/G: no int g^2 or G^2 meets a float
+        value = math.sqrt(g_step - 1.0) * math.sqrt(g_step + 1.0) / math.sqrt(1.0 - 1.0 / g_tot / g_tot) * n_a / dn_b
+    else:  # MultiStepMultiMode
+        value = math.sqrt(g_tot) * math.sqrt(g_step - 1.0) / math.sqrt(g_tot - 1.0) * n_a / dn_b
+    if not math.isfinite(value):
+        raise ValueError(f"the {tag} SNR at n_a = {n_a:g}, dn_b = {dn_b:g} is beyond the float range")
+    return value

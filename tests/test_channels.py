@@ -134,6 +134,8 @@ class TestPeggBarnettCheck:
         dev = check_pegg_barnett(identity(sb), sb)
         assert dev > COMMUTATOR_TOL
         assert dev == pytest.approx(4.0)  # missing -(s+1) correction at the top
+        with pytest.raises(ValueError, match="not a multiple"):
+            check_pegg_barnett(identity(FockSpace(4)), FockSpace(1))  # side 5, b dimension 2
 
     def test_two_mode_clean_region(self):
         sb, sa = FockSpace(30), FockSpace(2)

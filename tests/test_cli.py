@@ -84,6 +84,17 @@ class TestSnrTable:
         assert "skipping" in err and "10" in err and "G = inf" in err
         rows = read_rows(out_csv)
         assert len(rows) == 1 and rows[0]["G"] == "9"
+        # n_a / dn_b beyond the float range is skipped; the G = 1 sentinel of a linear mechanism is still written
+        cfg.write_text(
+            json.dumps({"mechanisms": [{"tag": "SingleMode"}, {"tag": "PhaseSensitive"}], "grid": [1, 2], "n_a": 1, "dn_b": 1e-320})
+        )
+        code, _, err = run_cli(capsys, "snr-table", "--config", str(cfg), "--out", str(out_csv))
+        assert code == 0
+        assert "skipping SingleMode at G = 1" in err and "skipping SingleMode at G = 2" in err
+        assert [(r["mechanism"], r["G"], r["snr"]) for r in read_rows(out_csv)] == [
+            ("PhaseSensitive", "1", "inf"),
+            ("PhaseSensitive", "2", "1.5"),
+        ]
 
     def test_round_trip_full_precision(self, capsys, tmp_path):
         out_csv = tmp_path / "snr.csv"
@@ -338,6 +349,7 @@ class TestDeterminismAndConfig:
         # a reservoir that is not a JSON object
         ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 2, "reservoir": 5}]}), []),
         ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 2, "reservoir": []}]}), []),
+        ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 2, "reservoir": {"kind": "poisson"}}]}), []),
         # draw-free, but sum(m * w^2) = (4**600 - 1) / 3 is beyond the float range
         ("mc", json.dumps({"scenarios": [{"model": "MultiStepSingle", "g": 2, "N": 600, "reservoir": {"kind": "fock", "n": 0}}]}), []),
         # a cascade whose g**N would take terabytes to form, and a filtered variance G^2 * n_a beyond the float range

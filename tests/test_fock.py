@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fockamp import (
     DiagonalState,
     FockSpace,
+    NumberStats,
     OperatorMatrix,
     TruncationError,
     annihilation,
@@ -92,6 +93,12 @@ class TestEmbed:
         y = OperatorMatrix((shape[1],), rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         comm = commutator(tensor(x, identity(shape[1])), tensor(identity(shape[0]), y)).mat
         assert np.max(np.abs(comm)) <= 1e-13
+
+    def test_empty_product_and_mismatched_matrix_are_refused(self):
+        with pytest.raises(ValueError, match="at least one operator"):
+            tensor()
+        with pytest.raises(ValueError, match="does not match factor dimensions"):
+            OperatorMatrix((FockSpace(1), FockSpace(2)), np.eye(5))
 
 
 def _band_values(draw, length):
@@ -185,6 +192,8 @@ class TestStates:
             DiagonalState(FockSpace(2), np.array([1.2, -0.2, 0.0]))
         with pytest.raises(ValueError):
             DiagonalState(FockSpace(3), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            NumberStats(1.0, -0.5)
 
 
 class TestMoments:
@@ -266,3 +275,8 @@ class TestCutoffPolicy:
         s = settle_cutoff(lambda k: thermal_state(FockSpace(k), 1.0), start)
         assert s >= start
         check_truncation(thermal_state(FockSpace(s), 1.0))
+
+    def test_settle_cutoff_gives_up_beyond_max_cutoff(self):
+        # thermal(1e5) leaks past 1e-10 until s is about 2.3e6
+        with pytest.raises(TruncationError, match="no adequate cutoff"):
+            settle_cutoff(lambda k: thermal_state(FockSpace(k), 1e5), 3)

@@ -26,6 +26,7 @@ from fockamp import (
     leakage,
     nonlinear_bout,
     phase_sensitive_number_out,
+    reservoir_draws,
     snr,
     thermal_state,
     var_caves,
@@ -131,6 +132,9 @@ INTEGER_ENTRY_POINTS = {
     "snr.n_a": (lambda k: snr(Mechanism.single_mode(2), k, 1.0), 1),
     "VerifyConfig.cutoff": (lambda k: VerifyConfig(cutoff=k), 0),
     "VerifyConfig.seed": (lambda k: VerifyConfig(seed=k), None),
+    "reservoir_draws.count": (lambda k: reservoir_draws(ReservoirSpec.thermal(1.0), k, 0), 0),
+    "reservoir_draws.seed": (lambda k: reservoir_draws(ReservoirSpec.thermal(1.0), 3, k), None),
+    "reservoir_draws.draw_index": (lambda k: reservoir_draws(ReservoirSpec.thermal(1.0), 3, 0, k), 0),
 }
 
 NOT_INTEGERS = st.one_of(
@@ -177,9 +181,15 @@ def test_reported_integer_cases():
         lambda: leakage(fock_state(SP, 0), True),
         lambda: snr(Mechanism.single_mode(2), 1.5, 1.0),
         lambda: snr(Mechanism.single_mode(2), True, 1.0),
+        lambda: reservoir_draws(ReservoirSpec.thermal(1.0), 2.5, 0),
+        lambda: reservoir_draws(ReservoirSpec.thermal(1.0), -5, 0),
+        lambda: reservoir_draws(ReservoirSpec.thermal(1.0), 3, True),
+        lambda: reservoir_draws(ReservoirSpec.thermal(1.0), 3, 1.5),
+        lambda: reservoir_draws(ReservoirSpec.thermal(1.0), 3, 0, 2**64),  # its key would repeat slot 0's
     ):
         with pytest.raises(ValueError):
             call()
+    assert reservoir_draws(ReservoirSpec.thermal(1.0), 3, 0, 2**64 - 1).shape == (3,)
     spec = _scenario(gain_G=4.0)
     assert spec.gain_G == 4 and type(spec.gain_G) is int
 

@@ -17,13 +17,15 @@ from fockamp import (
     ThermalEnv,
     TransferPair,
     lorentzian_transfer,
+    nonlinear_bout,
+    shift_operator,
     thermal_occupancy,
     thermal_state,
 )
 
 SP = FockSpace(5)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-NOT_REAL = st.sampled_from([True, "1.0"])  # read by float() as 1.0, a valid value of every field below
+NOT_REAL = st.sampled_from([True, "1.0", "1"])  # read by float() as 1.0, a valid value of every field below
 
 
 @settings(max_examples=40, deadline=None)
@@ -87,6 +89,16 @@ def test_thermal_occupancy_rejects_bad_frequency(omega):
     # 1e-320 and 1e-300 are positive, but their occupancy at 300 K is beyond the float range
     with pytest.raises(ValueError):
         thermal_occupancy(omega, ThermalEnv(300.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(phase=st.one_of(NON_FINITE, NOT_REAL), channel=st.sampled_from(["shift_operator", "nonlinear_bout"]))
+def test_channel_rejects_bad_phase(phase, channel):
+    with pytest.raises(ValueError, match="phase"):
+        if channel == "shift_operator":
+            shift_operator(FockSpace(3), phase)
+        else:
+            nonlinear_bout(FockSpace(2), FockSpace(1), 2, phase=phase)
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,6 +13,7 @@ from fockamp import (
     FockSpace,
     NumberStats,
     ReservoirSpec,
+    SampleStats,
     ScenarioSpec,
     analytic_variance,
     moments,
@@ -244,6 +245,8 @@ class TestScenarioValidation:
             steps_N=3,
         )
         assert spec.gain_G == 8
+        with pytest.raises(ValueError, match="requires step_gain_g"):
+            ScenarioSpec(model="MultiStepSingle", input_n_a=0, reservoir=ReservoirSpec.fock(0), trials=10, seed=1, gain_G=8)
 
     def test_shelving_mode_count_range(self):
         base = dict(model="Shelving", input_n_a=1, reservoir=ReservoirSpec.fock(0), trials=10, seed=1, gain_G=4)
@@ -445,6 +448,50 @@ class TestRunScenario:
         weights = spelled_out_weights(spec)
         assert analytic_variance(spec) == sum(w * w for w in weights) * reservoir.stats.variance
 
+    def test_a_weight_class_draws_its_slots_in_one_call(self, monkeypatch):
+        calls = []
+
+        def counted(seed, slots, start, count):
+            calls.append(np.size(slots))
+            return _uniforms(seed, slots, start, count)
+
+        monkeypatch.setattr("fockamp.montecarlo._uniforms", counted)
+        spec = ScenarioSpec(
+            model="MultiStepMulti", input_n_a=1, reservoir=ReservoirSpec.thermal(1.0), trials=2, seed=5, step_gain_g=2, steps_N=11
+        )
+        _power_sums(spec, 0)
+        # one call per cascade step, 2 + 4 + ... + 2**11 = 4094 slots in all, where one call per slot made 4094
+        assert calls == [2**n for n in range(1, 12)]
+
+    @pytest.mark.parametrize("trials,offset", [(11, 0), (19, 6), (3, 2**40)])
+    def test_slot_chunks_and_trial_blocks_match_brute_force(self, trials, offset, monkeypatch):
+        # with 8 uniforms per call, a 3-trial block takes 2 slots per call: classes of 3, 9 and 27 slots split raggedly
+        monkeypatch.setattr("fockamp.montecarlo._BLOCK", 8)
+        spec = ScenarioSpec(
+            model="MultiStepMulti",
+            input_n_a=1,
+            reservoir=ReservoirSpec.empirical([0.5, 0.2, 0.3]),
+            trials=trials,
+            seed=-(2**65) - 3,
+            step_gain_g=3,
+            steps_N=3,
+        )
+        assert _power_sums(spec, offset) == brute_force_power_sums(spec, offset)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=-(2**70), max_value=2**70),
+        slots=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=6),
+        start=st.integers(min_value=0, max_value=2**40),
+        count=st.integers(min_value=0, max_value=20),
+    )
+    @example(seed=-1, slots=[2**64 - 1, 0], start=2**33, count=3)
+    def test_uniforms_on_a_slot_array_stack_the_single_slot_rows(self, seed, slots, start, count):
+        rows = _uniforms(seed, np.array(slots, dtype=np.uint64), start, count)
+        single = np.stack([_uniforms(seed, j, start, count) for j in slots])
+        assert rows.shape == (len(slots), count) == single.shape
+        assert np.array_equal(rows, single)
+
     @pytest.mark.parametrize(
         "model,kwargs",
         [
@@ -533,6 +580,12 @@ class TestExactEstimators:
         assert stats.mean == float(mean)
         assert stats.variance == float(variance)
         assert stats.std_error_of_variance == math.sqrt(float(var_of_var))
+
+    def test_sample_stats_invariants(self):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            SampleStats(0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="variance must be nonnegative"):
+            SampleStats(2, 0.0, -1.0, 0.0)
 
     def test_one_trial_run_is_refused(self, monkeypatch):
         def refuse(*args):

@@ -103,6 +103,8 @@ class TestMechanism:
             Mechanism("MultiStepSingleMode", 10, 3)
         with pytest.raises(ValueError):
             Mechanism("MultiStepMultiMode", 8, 2, steps_N=2)
+        with pytest.raises(ValueError, match="requires a per-step gain"):
+            Mechanism("MultiStepMultiMode", 8)
 
     def test_constructors_fill_steps(self):
         m = Mechanism.multistep_multi(2, 5)
@@ -145,6 +147,9 @@ class TestSnr:
             snr(Mechanism.single_mode(2), 1, -0.1)
         with pytest.raises(ValueError):
             snr(Mechanism.single_mode(2), math.nan, 1.0)
+        # a quotient n_a / dn_b beyond the float range is refused; inf is kept for the dn_b = 0 sentinel
+        with pytest.raises(ValueError, match="beyond the float range"):
+            snr(Mechanism.single_mode(2), 1, 1e-320)
 
     def test_multistep_values(self):
         assert snr(Mechanism.multistep_single(2, 2), 1, 1.0) == pytest.approx(4 * math.sqrt(3) / math.sqrt(15))
@@ -160,7 +165,7 @@ def _exact_root(square: Fraction) -> float:
 
 def _cascade(draw):
     """(g, N) with g**N within the float range."""
-    g = draw(st.integers(min_value=2, max_value=10**6))
+    g = draw(st.integers(min_value=2, max_value=int(sys.float_info.max)))
     n_max = 1
     while g ** (n_max + 1) <= sys.float_info.max:
         n_max += 1
@@ -175,6 +180,7 @@ class TestSnrAgainstExactOracle:
     @example(cascade=(2, 600))
     @example(cascade=(3, 646))
     @example(cascade=(2, 1023))
+    @example(cascade=(2**600, 1))  # a one-step cascade whose g^2 no float holds
     def test_cascades(self, cascade):
         g, n = cascade
         big_g = g**n
