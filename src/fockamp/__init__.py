@@ -54,7 +54,6 @@ from .montecarlo import (
 )
 from .filters import (
     HBAR_OVER_K,
-    ThermalEnv,
     TransferPair,
     filtered_amplified_stats,
     lorentzian_transfer,

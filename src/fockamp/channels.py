@@ -65,21 +65,19 @@ def commutator(x: OperatorMatrix, y: OperatorMatrix) -> OperatorMatrix:
     return x @ y - y @ x
 
 
-def check_pegg_barnett(comm: OperatorMatrix, space_b: FockSpace) -> float:
+def check_pegg_barnett(comm: OperatorMatrix) -> float:
     """Verify [b_out, b_out^dag] = 1 - (s_b+1)|s_b><s_b| within every a-number sector.
 
     The ideal commutator on the (b, a) product space is the identity minus a
     rank-one correction of weight s_b + 1 at the top b level of each sector;
     away from that level the diagonal is exactly 1 and all off-diagonal entries
-    vanish.  Returns the largest elementwise deviation from that pattern;
-    callers accept it up to ``COMMUTATOR_TOL``.
+    vanish.  The b space is the first factor of ``comm.spaces``, and the a
+    sectors are the rest.  Returns the largest elementwise deviation from that
+    pattern; callers accept it up to ``COMMUTATOR_TOL``.
     """
-    side = comm.dim
-    dim_b = space_b.dim
-    if side % dim_b != 0:
-        raise ValueError(f"commutator side {side} is not a multiple of the b dimension {dim_b}")
-    dim_a = side // dim_b
-    diag = np.where(np.arange(side) < space_b.cutoff * dim_a, 1.0, 1.0 - (space_b.cutoff + 1))
+    space_b = comm.spaces[0]
+    dim_a = comm.dim // space_b.dim
+    diag = np.where(np.arange(comm.dim) < space_b.cutoff * dim_a, 1.0, 1.0 - (space_b.cutoff + 1))
     expected = OperatorMatrix.from_bands(comm.spaces, {0: diag})
     return float(np.max(np.abs(comm.mat - expected.mat)))
 

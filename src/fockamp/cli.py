@@ -217,8 +217,7 @@ def _parse_mc(cfg: dict) -> Callable[[], int]:
 
 
 def _parse_filter_scan(cfg: dict) -> Callable[[], int]:
-    env = filters.ThermalEnv(cfg["temperature"])
-    nbar_amp = filters.thermal_occupancy(cfg["omega_amp"], env)
+    nbar_amp = filters.thermal_occupancy(cfg["omega_amp"], cfg["temperature"])
     b_env = NumberStats(nbar_amp, nbar_amp * (nbar_amp + 1.0))
     gain = noise.gain_structure(cfg["gain"])[0]
     n_a = _check_integer(cfg["n_a"], "n_a", 0)

@@ -20,7 +20,6 @@ from .noise import gain_structure, var_single_mode
 __all__ = [
     "HBAR_OVER_K",
     "TransferPair",
-    "ThermalEnv",
     "lorentzian_transfer",
     "thermal_occupancy",
     "filtered_amplified_stats",
@@ -43,25 +42,10 @@ class TransferPair:
     R: complex
 
     def __post_init__(self):
-        if not math.isfinite(self.omega):
-            raise ValueError(f"frequency must be finite, got {self.omega}")
+        object.__setattr__(self, "omega", _check_real(self.omega, "frequency"))
         miss = abs(abs(self.T) ** 2 + abs(self.R) ** 2 - 1.0)
         if not miss <= UNITARITY_TOL:  # written so that a nan amplitude fails
             raise ValueError(f"lossless filter requires |T|^2+|R|^2 = 1, off by {miss:.3e}")
-
-
-@dataclass(frozen=True)
-class ThermalEnv:
-    """Temperature of the detector environment (kelvin)."""
-
-    temperature: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "temperature", _check_real(self.temperature, "temperature", 0, strict=True))
-
-    def ratio(self, omega: float) -> float:
-        """Dimensionless hbar*omega / (k_B T)."""
-        return HBAR_OVER_K * omega / self.temperature
 
 
 def lorentzian_transfer(omega: float, omega0: float, gamma: float) -> TransferPair:
@@ -71,15 +55,16 @@ def lorentzian_transfer(omega: float, omega0: float, gamma: float) -> TransferPa
     is the default filter model; externally tabulated (T, R) pairs can be used
     anywhere a TransferPair is accepted.
     """
+    omega, omega0 = _check_real(omega, "frequency"), _check_real(omega0, "resonance frequency")
     gamma = _check_real(gamma, "linewidth", 0, strict=True)
     denom = 1j * (omega - omega0) + gamma / 2.0
     return TransferPair(omega, complex((gamma / 2.0) / denom), complex(1j * (omega - omega0) / denom))
 
 
-def thermal_occupancy(omega: float, env: ThermalEnv) -> float:
-    """Bose-Einstein mean occupation 1/(exp(hbar*omega/kT) - 1)."""
+def thermal_occupancy(omega: float, temperature: float) -> float:
+    """Bose-Einstein mean occupation 1/(exp(hbar*omega/kT) - 1) at a temperature in kelvin."""
     omega = _check_real(omega, "frequency", 0, strict=True)
-    denom = math.expm1(env.ratio(omega))
+    denom = math.expm1(HBAR_OVER_K * omega / _check_real(temperature, "temperature", 0, strict=True))
     if denom == 0.0 or 1.0 / denom == math.inf:
         raise ValueError(f"occupancy at frequency {omega} is not finite")
     return 1.0 / denom

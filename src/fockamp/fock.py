@@ -50,16 +50,18 @@ class TruncationError(RuntimeError):
     """A state carries non-negligible weight in the top levels of its space."""
 
 
-def _check_integer(value, name: str, minimum: Optional[int] = None) -> int:
+def _check_integer(value, name: str, minimum: Optional[int] = None, maximum: Optional[int] = None) -> int:
     """The one integer check: an int, or a real with an integral value (2.0 reads as 2).
 
-    bool, nan, +-inf, non-integral values and values below ``minimum`` raise ValueError.
+    bool, nan, +-inf, non-integral values and values outside [``minimum``, ``maximum``] raise ValueError.
     """
     integral = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
     if isinstance(value, bool) or not integral:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be an integer <= {maximum}, got {value!r}")
     return int(value)
 
 
@@ -197,9 +199,7 @@ class NumberStats:
     variance: float
 
     def __post_init__(self):
-        mean, variance = float(self.mean), float(self.variance)
-        if not (math.isfinite(mean) and math.isfinite(variance)):
-            raise ValueError(f"mean and variance must be finite, got ({mean}, {variance})")
+        mean, variance = _check_real(self.mean, "mean"), _check_real(self.variance, "variance")
         if variance < -1e-9:
             raise ValueError(f"variance must be nonnegative, got {variance}")
         object.__setattr__(self, "variance", max(variance, 0.0))
@@ -233,9 +233,7 @@ def tensor(*ops: OperatorMatrix) -> OperatorMatrix:
 
 
 def fock_state(space: FockSpace, n: int) -> DiagonalState:
-    n = _check_integer(n, "occupation", 0)
-    if n > space.cutoff:
-        raise ValueError(f"occupation {n} exceeds cutoff {space.cutoff}")
+    n = _check_integer(n, "occupation", 0, space.cutoff)
     probs = np.zeros(space.dim)
     probs[n] = 1.0
     return DiagonalState(space, probs)
@@ -274,9 +272,7 @@ def moments(state: DiagonalState | Sequence[DiagonalState], observable: Operator
 
 def leakage(state: DiagonalState, top_k: int) -> float:
     """Total probability in the ``top_k`` highest number states."""
-    top_k = _check_integer(top_k, "top_k", 0)
-    if top_k > state.space.dim:
-        raise ValueError(f"top_k must lie in [0, {state.space.dim}], got {top_k}")
+    top_k = _check_integer(top_k, "top_k", 0, state.space.dim)
     if top_k == 0:
         return 0.0
     return float(state.probs[-top_k:].sum())

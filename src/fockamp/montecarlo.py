@@ -144,9 +144,9 @@ class ReservoirSpec:
 
 def reservoir_draws(spec: ReservoirSpec, count: int, seed: int, draw_index: int = 0) -> np.ndarray:
     """Draws for trials 0..count-1 of one draw slot: count >= 0, any integer seed, slot in [0, 2**64)."""
-    count, draw_index = (_check_integer(value, name, 0) for name, value in (("count", count), ("draw_index", draw_index)))
-    if draw_index > _MASK:  # the slot key wraps modulo 2**64, so slot 2**64 would repeat slot 0
-        raise ValueError(f"draw_index must be below 2**64, got {draw_index}")
+    count = _check_integer(count, "count", 0)
+    # the slot key wraps modulo 2**64, so slot 2**64 would repeat slot 0
+    draw_index = _check_integer(draw_index, "draw_index", 0, _MASK)
     return spec._draw_block(_uniforms(_check_integer(seed, "seed"), draw_index, 0, count))
 
 
@@ -197,15 +197,11 @@ class ScenarioSpec:
             structure = gain_structure(self.gain_G)
         for name, value in zip(("gain_G", "step_gain_g", "steps_N"), structure):
             object.__setattr__(self, name, value)
-        if self.model == "Shelving":
-            m = self.cavity_mode_count
-            if m is None or not 1 <= m <= self.gain_G:
-                raise ValueError(f"cavity mode count must lie in [1, G], got {m}")
+        if self.model == "Shelving":  # None is refused as not an integer
+            _check_integer(self.cavity_mode_count, "cavity_mode_count", 1, self.gain_G)
         if self.model == "Multiplexed":
             budget = self.mode_budget if self.mode_budget is not None else self.input_n_a
-            if budget < self.input_n_a:
-                raise ValueError(f"mode budget {budget} below input photon number {self.input_n_a}")
-            object.__setattr__(self, "mode_budget", budget)
+            object.__setattr__(self, "mode_budget", _check_integer(budget, "mode_budget", self.input_n_a))
         classes = _weight_classes(self)
         peak = self.gain_G * self.input_n_a + self.reservoir._max_draw * sum(m * w for w, m in classes)
         if peak >= 2**63:

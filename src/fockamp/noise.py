@@ -13,6 +13,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .fock import NumberStats, _check_integer, _check_real
@@ -219,8 +220,11 @@ def snr(mechanism: Mechanism, n_a: int, dn_b: float) -> float:
     elif tag == "SingleMode":
         try:
             value = g_tot * n_a / dn_b
-        except OverflowError:  # an int G * n_a no float holds
-            value = math.inf
+        except OverflowError:  # an int G * n_a no float holds: divide exactly, round once
+            try:
+                value = float(Fraction(g_tot * n_a) / Fraction(dn_b))
+            except OverflowError:  # the quotient is beyond the float range too
+                value = math.inf
     elif tag == "GModes":
         value = math.sqrt(g_tot) * n_a / dn_b
     elif tag == "MultiStepSingleMode":

@@ -35,7 +35,7 @@ from fockamp import (
     var_phase_sensitive,
 )
 from fockamp.cli import main as cli_main
-from fockamp.filters import HBAR_OVER_K, ThermalEnv, thermal_occupancy
+from fockamp.filters import HBAR_OVER_K, thermal_occupancy
 
 
 def report(name, ok, detail):
@@ -225,11 +225,11 @@ def test_filter_unitarity_resonance_and_suppression():
     resonant = lorentzian_transfer(omega0, omega0, gamma)
     resonance_ok = resonant.T == 1.0 + 0j and resonant.R == 0j
 
-    env = ThermalEnv(temperature=2.0)
+    temperature = 2.0
     x = np.linspace(10.0, 40.0, 400)
-    omega = x * env.temperature / HBAR_OVER_K
-    slope = np.polyfit(omega, [math.log(thermal_occupancy(float(w), env)) for w in omega], 1)[0]
-    target = -HBAR_OVER_K / env.temperature
+    omega = x * temperature / HBAR_OVER_K
+    slope = np.polyfit(omega, [math.log(thermal_occupancy(float(w), temperature)) for w in omega], 1)[0]
+    target = -HBAR_OVER_K / temperature
     slope_err = abs(slope - target) / abs(target)
 
     ok = worst_unitarity <= 1e-12 and resonance_ok and slope_err <= 1e-6

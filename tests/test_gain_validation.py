@@ -36,6 +36,7 @@ from fockamp import (
     var_phase_sensitive,
     var_single_mode,
 )
+from fockamp.fock import MAX_CUTOFF
 from fockamp.noise import MECHANISM_TAGS, gain_structure
 from fockamp.verify import VerifyConfig
 
@@ -137,6 +138,20 @@ INTEGER_ENTRY_POINTS = {
     "reservoir_draws.draw_index": (lambda k: reservoir_draws(ReservoirSpec.thermal(1.0), 3, 0, k), 0),
 }
 
+# the largest value each bounded integer entry point above accepts
+INTEGER_MAXIMA = {
+    "ScenarioSpec.cavity_mode_count": 40,  # gain_G of _scenario
+    "Mechanism.SingleMode": int(sys.float_info.max),
+    "Mechanism.GModes": int(sys.float_info.max),
+    "Mechanism.multistep_multi.steps": 1023,  # 2**1023 is the largest power of 2 a float holds
+    "gain_structure.G": int(sys.float_info.max),
+    "gain_structure.N": 1023,
+    "fock_state.n": 8,  # the cutoff
+    "leakage.top_k": 9,  # the dimension
+    "VerifyConfig.cutoff": MAX_CUTOFF,
+    "reservoir_draws.draw_index": 2**64 - 1,  # slot 2**64 would repeat slot 0
+}
+
 NOT_INTEGERS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, True, False, "2"]),
     st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
@@ -160,6 +175,21 @@ def test_integer_below_minimum_is_a_value_error(name, data):
     as_float = data.draw(st.booleans())
     with pytest.raises(ValueError):
         entry(float(value) if as_float else value)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_MAXIMA))
+def test_integer_above_maximum_is_a_value_error(name):
+    entry, maximum = INTEGER_ENTRY_POINTS[name][0], INTEGER_MAXIMA[name]
+    entry(maximum)
+    with pytest.raises(ValueError):
+        entry(maximum + 1)
+
+
+def test_mode_budget_is_at_least_the_input_photon_number():
+    assert _scenario("Multiplexed", input_n_a=3, gain_G=2).mode_budget == 3  # defaults to n_a
+    assert _scenario("Multiplexed", input_n_a=3, gain_G=2, mode_budget=3.0).mode_budget == 3
+    with pytest.raises(ValueError, match="mode_budget"):
+        _scenario("Multiplexed", input_n_a=3, gain_G=2, mode_budget=2)
 
 
 @pytest.mark.parametrize("name", sorted(INTEGER_ENTRY_POINTS))

@@ -14,7 +14,6 @@ from fockamp import (
     FockSpace,
     NumberStats,
     ReservoirSpec,
-    ThermalEnv,
     TransferPair,
     lorentzian_transfer,
     nonlinear_bout,
@@ -73,7 +72,7 @@ def test_transfer_pair_rejects_non_finite_fields(bad, which):
 @given(temperature=st.one_of(NON_FINITE, NOT_REAL, st.floats(max_value=0.0)))
 def test_thermal_env_rejects_bad_temperature(temperature):
     with pytest.raises(ValueError):
-        ThermalEnv(temperature)
+        thermal_occupancy(1.0, temperature)
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,7 +87,7 @@ def test_lorentzian_rejects_bad_linewidth(gamma):
 def test_thermal_occupancy_rejects_bad_frequency(omega):
     # 1e-320 and 1e-300 are positive, but their occupancy at 300 K is beyond the float range
     with pytest.raises(ValueError):
-        thermal_occupancy(omega, ThermalEnv(300.0))
+        thermal_occupancy(omega, 300.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -107,3 +106,20 @@ def test_number_stats_rejects_non_finite_moments(bad, which):
     fields = {"mean": 1.0, "variance": 2.0, which: bad}
     with pytest.raises(ValueError):
         NumberStats(**fields)
+
+
+# the moments of NumberStats and the frequencies of the filter, each with valid values for its other arguments
+REAL_INPUTS = {
+    "NumberStats.mean": lambda x: NumberStats(x, 0.0),
+    "NumberStats.variance": lambda x: NumberStats(0.0, x),
+    "TransferPair.omega": lambda x: TransferPair(x, 1.0 + 0j, 0j),
+    "lorentzian_transfer.omega": lambda x: lorentzian_transfer(x, 1.0, 2.0),
+    "lorentzian_transfer.omega0": lambda x: lorentzian_transfer(1.0, x, 2.0),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, "1.0", "1", math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")])
+@pytest.mark.parametrize("name", sorted(REAL_INPUTS))
+def test_real_input_rejects_a_bool_str_or_non_finite_value(name, bad):
+    with pytest.raises(ValueError):
+        REAL_INPUTS[name](bad)

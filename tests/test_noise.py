@@ -151,6 +151,13 @@ class TestSnr:
         with pytest.raises(ValueError, match="beyond the float range"):
             snr(Mechanism.single_mode(2), 1, 1e-320)
 
+    def test_single_mode_quotient_of_an_int_signal_beyond_floats(self):
+        # G * n_a = 10**600 no float holds, but the SNR 10**600 / 1e300 does: it is the exact quotient, rounded once
+        value = snr(Mechanism.single_mode(10**300), 10**300, 1e300)
+        assert value == float(Fraction(10**600) / Fraction(1e300))
+        with pytest.raises(ValueError, match="beyond the float range"):
+            snr(Mechanism.single_mode(10**300), 10**300, 1.0)
+
     def test_multistep_values(self):
         assert snr(Mechanism.multistep_single(2, 2), 1, 1.0) == pytest.approx(4 * math.sqrt(3) / math.sqrt(15))
         assert snr(Mechanism.multistep_multi(2, 2), 1, 1.0) == pytest.approx(2 / math.sqrt(3))
