@@ -233,7 +233,7 @@ def tensor(*ops: OperatorMatrix) -> OperatorMatrix:
 
 
 def fock_state(space: FockSpace, n: int) -> DiagonalState:
-    n = _check_integer(n, "occupation", 0, space.cutoff)
+    n = _check_integer(n, "occupation (at most the cutoff)", 0, space.cutoff)
     probs = np.zeros(space.dim)
     probs[n] = 1.0
     return DiagonalState(space, probs)
@@ -272,7 +272,7 @@ def moments(state: DiagonalState | Sequence[DiagonalState], observable: Operator
 
 def leakage(state: DiagonalState, top_k: int) -> float:
     """Total probability in the ``top_k`` highest number states."""
-    top_k = _check_integer(top_k, "top_k", 0, state.space.dim)
+    top_k = _check_integer(top_k, "top_k (at most the dimension)", 0, state.space.dim)
     if top_k == 0:
         return 0.0
     return float(state.probs[-top_k:].sum())

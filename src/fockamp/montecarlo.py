@@ -197,11 +197,11 @@ class ScenarioSpec:
             structure = gain_structure(self.gain_G)
         for name, value in zip(("gain_G", "step_gain_g", "steps_N"), structure):
             object.__setattr__(self, name, value)
-        if self.model == "Shelving":  # None is refused as not an integer
-            _check_integer(self.cavity_mode_count, "cavity_mode_count", 1, self.gain_G)
+        if self.model == "Shelving":
+            _check_integer(self.cavity_mode_count, "cavity_mode_count (in [1, G])", 1, self.gain_G)
         if self.model == "Multiplexed":
             budget = self.mode_budget if self.mode_budget is not None else self.input_n_a
-            object.__setattr__(self, "mode_budget", _check_integer(budget, "mode_budget", self.input_n_a))
+            object.__setattr__(self, "mode_budget", _check_integer(budget, "mode_budget (at least input_n_a)", self.input_n_a))
         classes = _weight_classes(self)
         peak = self.gain_G * self.input_n_a + self.reservoir._max_draw * sum(m * w for w, m in classes)
         if peak >= 2**63:

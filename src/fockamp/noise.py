@@ -218,13 +218,10 @@ def snr(mechanism: Mechanism, n_a: int, dn_b: float) -> float:
     elif tag == "PhaseInsensitive":
         value = g_tot / (g_tot - 1.0) * n_a / dn_b
     elif tag == "SingleMode":
-        try:
-            value = g_tot * n_a / dn_b
-        except OverflowError:  # an int G * n_a no float holds: divide exactly, round once
-            try:
-                value = float(Fraction(g_tot * n_a) / Fraction(dn_b))
-            except OverflowError:  # the quotient is beyond the float range too
-                value = math.inf
+        try:  # exact quotient, rounded once: finite even where no float holds an int G * n_a
+            value = float(Fraction(g_tot * n_a) / Fraction(dn_b))
+        except OverflowError:
+            value = math.inf
     elif tag == "GModes":
         value = math.sqrt(g_tot) * n_a / dn_b
     elif tag == "MultiStepSingleMode":
