@@ -185,13 +185,6 @@ def test_integer_above_maximum_is_a_value_error(name):
         entry(maximum + 1)
 
 
-def test_mode_budget_is_at_least_the_input_photon_number():
-    assert _scenario("Multiplexed", input_n_a=3, gain_G=2).mode_budget == 3  # defaults to n_a
-    assert _scenario("Multiplexed", input_n_a=3, gain_G=2, mode_budget=3.0).mode_budget == 3
-    with pytest.raises(ValueError, match="mode_budget"):
-        _scenario("Multiplexed", input_n_a=3, gain_G=2, mode_budget=2)
-
-
 @pytest.mark.parametrize("name", sorted(INTEGER_ENTRY_POINTS))
 @settings(max_examples=20, deadline=None)
 @given(offset=st.integers(min_value=0, max_value=6))
