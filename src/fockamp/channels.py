@@ -7,9 +7,11 @@ provides the commutator checks that certify each of them.
 
 Each operator is a low-order polynomial in ladder operators, so it has a few
 fixed diagonals on the number basis.  Each builder computes those diagonals by
-index arithmetic for ``OperatorMatrix.from_bands`` (O(D) entries, no Kronecker
-or matrix products); the tests rebuild every operator from ``annihilation``,
-its ``dagger()``, ``identity``, ``tensor`` and ``@`` as the brute-force oracle.
+index arithmetic for ``OperatorMatrix.from_bands``, which stores only them
+(O(D) entries, no Kronecker or matrix products), and the commutators are band
+products.  The tests rebuild every operator from the dense ``.mat`` of
+``annihilation`` and ``identity`` with ``np.kron`` and ndarray ``@`` as the
+brute-force oracle.
 """
 from __future__ import annotations
 
@@ -78,8 +80,8 @@ def check_pegg_barnett(comm: OperatorMatrix) -> float:
     space_b = comm.spaces[0]
     dim_a = comm.dim // space_b.dim
     diag = np.where(np.arange(comm.dim) < space_b.cutoff * dim_a, 1.0, 1.0 - (space_b.cutoff + 1))
-    expected = OperatorMatrix.from_bands(comm.spaces, {0: diag})
-    return float(np.max(np.abs(comm.mat - expected.mat)))
+    miss = comm - OperatorMatrix.from_bands(comm.spaces, {0: diag})
+    return float(np.max([np.max(np.abs(values)) for values in miss.bands.values()]))
 
 
 def _lowered_fill(space: FockSpace) -> np.ndarray:

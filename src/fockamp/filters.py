@@ -91,9 +91,10 @@ def filtered_amplified_stats(tp: TransferPair, a: NumberStats, c: NumberStats, g
 def read_transfer_table(path) -> list[TransferPair]:
     """Load (omega, T, R) rows from CSV columns omega,T_re,T_im,R_re,R_im.
 
-    Rows violating |T|^2+|R|^2 = 1 beyond 1e-9 are rejected with the row
-    number; accepted rows are rescaled onto the lossless constraint so the
-    stored pairs satisfy it at full precision.
+    A row that does not parse, holds a non-finite value or violates
+    |T|^2+|R|^2 = 1 beyond 1e-9 is rejected with its row number; accepted rows
+    are rescaled onto the lossless constraint so the stored pairs satisfy it at
+    full precision.
     """
     pairs = []
     with open(Path(path), newline="") as fh:
@@ -102,11 +103,14 @@ def read_transfer_table(path) -> list[TransferPair]:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"filter table must have columns {sorted(required)}")
         for lineno, row in enumerate(reader, start=2):
-            t = complex(float(row["T_re"]), float(row["T_im"]))
-            r = complex(float(row["R_re"]), float(row["R_im"]))
-            norm = abs(t) ** 2 + abs(r) ** 2
-            if abs(norm - 1.0) > TABLE_UNITARITY_TOL:
-                raise ValueError(f"row {lineno}: |T|^2+|R|^2 off unity by {abs(norm - 1.0):.3e} (limit 1e-9)")
-            scale = 1.0 / math.sqrt(norm)
-            pairs.append(TransferPair(float(row["omega"]), t * scale, r * scale))
+            try:  # a short row reads None, which float() refuses with TypeError
+                t = complex(float(row["T_re"]), float(row["T_im"]))
+                r = complex(float(row["R_re"]), float(row["R_im"]))
+                norm = abs(t) ** 2 + abs(r) ** 2
+                if not abs(norm - 1.0) <= TABLE_UNITARITY_TOL:  # written so that a nan amplitude fails here
+                    raise ValueError(f"|T|^2+|R|^2 off unity by {abs(norm - 1.0):.3e} (limit 1e-9)")
+                scale = 1.0 / math.sqrt(norm)
+                pairs.append(TransferPair(float(row["omega"]), t * scale, r * scale))
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"row {lineno}: {err}") from err
     return pairs

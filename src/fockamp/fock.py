@@ -1,14 +1,15 @@
 """Truncated bosonic Fock spaces: ladder operators, diagonal states, exact moments.
 
-Everything here is dense, desk-scale linear algebra on number-state bases.
-States are stored as probability vectors over number states (phase-randomized
-inputs make off-diagonal density-matrix terms irrelevant to every quantity we
-compute); operators are dense complex matrices.  Exact moments of those
-matrices are the oracle the closed-form noise formulas are checked against.
-One constructor, ``OperatorMatrix.from_bands``, builds every structured
-operator here and in ``channels`` by filling its few nonzero diagonals.  The
-ladder matrices, ``tensor`` and ``@`` are the brute-force oracle for the
-operators themselves: the tests rebuild each ``channels`` operator from them.
+Everything here is desk-scale linear algebra on number-state bases.  States
+are stored as probability vectors over number states (phase-randomized inputs
+make off-diagonal density-matrix terms irrelevant to every quantity we
+compute).  An operator is stored as its few nonzero diagonals on the number
+basis: ``from_bands`` builds every structured operator here and in
+``channels`` from them, and ``@``, ``+``, ``-``, ``dagger`` and ``moments``
+work on them in O(side) per band.  Exact moments are the oracle the
+closed-form noise formulas are checked against.  ``.mat`` is the dense view:
+the tests rebuild each ``channels`` operator from the ladder matrices with
+``np.kron`` and ndarray ``@`` as the brute-force oracle.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from functools import reduce
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -43,7 +45,7 @@ __all__ = [
 LEAKAGE_TOP_LEVELS = 3
 LEAKAGE_TOL = 1e-10
 MAX_CUTOFF = 100_000  # settle_cutoff gives up beyond this
-MAX_DENSE_SIDE = 4096  # largest dense operator side from_bands allocates: 256 MiB of complex entries
+MAX_DENSE_SIDE = 4096  # largest operator side: its bands and its dense view hold at most 256 MiB of complex entries
 
 
 class TruncationError(RuntimeError):
@@ -100,68 +102,84 @@ def _dense_side(spaces: Sequence[FockSpace]) -> int:
     return side
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix acting on a tensor product of Fock spaces."""
+    """Complex matrix on a tensor product of Fock spaces, stored as its nonzero diagonals.
 
-    spaces: tuple[FockSpace, ...]
-    mat: np.ndarray
+    ``bands`` maps an offset k to the read-only vector of entries (i, i + k), as in
+    ``np.diag`` (k > 0 above the main diagonal).  ``OperatorMatrix(spaces, mat)``
+    splits a dense matrix into its nonzero diagonals; ``mat`` is a dense view built
+    on each access.  A band set holds at most side² entries, so MAX_DENSE_SIDE caps both.
+    """
 
-    def __post_init__(self):
-        spaces = tuple(self.spaces)
-        object.__setattr__(self, "spaces", spaces)
-        mat = _frozen_array(self.mat, complex)
-        side = math.prod(sp.dim for sp in spaces)
-        if mat.ndim != 2 or mat.shape != (side, side):
+    __slots__ = ("spaces", "dim", "bands")
+
+    def __init__(self, spaces: Sequence[FockSpace], mat):
+        spaces, mat = tuple(spaces), np.asarray(mat, dtype=complex)
+        side = _dense_side(spaces)
+        if mat.shape != (side, side):
             raise ValueError(f"matrix shape {mat.shape} does not match factor dimensions (side {side})")
-        object.__setattr__(self, "mat", mat)
+        rows, cols = np.nonzero(mat)
+        self._set(spaces, side, {int(k): mat.diagonal(k).copy() for k in np.unique(cols - rows)})
+
+    def _set(self, spaces: tuple, side: int, bands: dict) -> "OperatorMatrix":
+        for values in bands.values():
+            values.setflags(write=False)  # shared, never copied, between the operators built from them
+        self.spaces, self.dim, self.bands = spaces, side, MappingProxyType(bands)
+        return self
+
+    def _with(self, bands: dict) -> "OperatorMatrix":
+        return object.__new__(OperatorMatrix)._set(self.spaces, self.dim, bands)
 
     @classmethod
     def from_bands(cls, spaces: Sequence[FockSpace], bands: Mapping[int, object]) -> "OperatorMatrix":
-        """Operator whose only nonzero diagonals are ``bands``: {k: scalar or vector of length side - |k|}.
-
-        Offset k > 0 lies above the main diagonal and k < 0 below it, as in ``np.diag``.
-        """
+        """Operator whose only nonzero diagonals are ``bands``: {k: scalar or vector of length side - |k|}."""
         spaces = tuple(spaces)
         side = _dense_side(spaces)
-        mat = np.zeros((side, side), dtype=complex)
-        for offset, values in bands.items():
-            # entry (i, i + k) of the row-major matrix sits at flat index i * (side + 1) + k
-            start = offset if offset >= 0 else -offset * side
-            mat.reshape(-1)[start :: side + 1][: max(side - abs(offset), 0)] = values
-        return cls(spaces, mat)
+        full = {k: np.broadcast_to(np.asarray(v, dtype=complex), (max(side - abs(k), 0),)).copy() for k, v in bands.items()}
+        return object.__new__(cls)._set(spaces, side, {k: v for k, v in full.items() if v.size})  # |k| >= side: no entries
 
     @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
+    def mat(self) -> np.ndarray:
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        for k, values in self.bands.items():  # entry (i, i + k) sits at flat index i * (side + 1) + k
+            mat.reshape(-1)[k if k >= 0 else -k * self.dim :: self.dim + 1][: values.size] = values
+        mat.setflags(write=False)
+        return mat
 
     def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.spaces, self.mat.conj().T)
+        return self._with({-k: values.conj() for k, values in self.bands.items()})
 
     def _check_same_shape(self, other: "OperatorMatrix"):
         if self.spaces != other.spaces:
             raise ValueError("operators act on different space shapes")
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        """Band k1 times band k2 lands on band k1 + k2, in O(side) per pair."""
         self._check_same_shape(other)
-        return OperatorMatrix(self.spaces, self.mat @ other.mat)
+        side, out = self.dim, {}
+        for k1, a in self.bands.items():
+            for k2, b in other.bands.items():
+                k = k1 + k2  # rows i in [lo, hi) hold both (i, i + k1) and (i + k1, i + k); band k starts at row max(0, -k)
+                lo, hi = max(0, -k1, -k), min(side, side - k1, side - k)
+                if lo < hi:
+                    term = a[lo - max(0, -k1) : hi - max(0, -k1)] * b[lo + k1 - max(0, -k2) : hi + k1 - max(0, -k2)]
+                    if k not in out:
+                        out[k] = np.zeros(side - abs(k), dtype=complex)
+                    out[k][lo - max(0, -k) : hi - max(0, -k)] += term
+        return self._with(out)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._check_same_shape(other)
-        return OperatorMatrix(self.spaces, self.mat + other.mat)
+        bands = dict(self.bands)
+        for k, values in other.bands.items():
+            bands[k] = bands[k] + values if k in bands else values
+        return self._with(bands)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_same_shape(other)
-        return OperatorMatrix(self.spaces, self.mat - other.mat)
+        return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix(self.spaces, scalar * self.mat)
+        return self._with({k: scalar * values for k, values in self.bands.items()})
 
 
 @dataclass(frozen=True)
@@ -172,7 +190,7 @@ class DiagonalState:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
+        probs = np.array(self.probs, dtype=float)  # a copy, frozen below
         if probs.shape != (self.space.dim,):
             raise ValueError(f"probability vector length {probs.shape} does not match dimension {self.space.dim}")
         if not np.all(np.isfinite(probs)):
@@ -182,7 +200,8 @@ class DiagonalState:
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-12")
-        object.__setattr__(self, "probs", _frozen_array(probs, float))
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
 
     def number_stats(self) -> "NumberStats":
         n = np.arange(self.space.dim)
@@ -224,12 +243,7 @@ def tensor(*ops: OperatorMatrix) -> OperatorMatrix:
     """Kronecker product, factor order preserved."""
     if not ops:
         raise ValueError("tensor() needs at least one operator")
-    mat = ops[0].mat
-    spaces = list(ops[0].spaces)
-    for op in ops[1:]:
-        mat = np.kron(mat, op.mat)
-        spaces.extend(op.spaces)
-    return OperatorMatrix(tuple(spaces), mat)
+    return OperatorMatrix([sp for op in ops for sp in op.spaces], reduce(np.kron, [op.mat for op in ops]))
 
 
 def fock_state(space: FockSpace, n: int) -> DiagonalState:
@@ -256,16 +270,18 @@ def moments(state: DiagonalState | Sequence[DiagonalState], observable: Operator
 
     ``state`` is either a DiagonalState on the observable's full (flattened)
     index space or a list of per-factor DiagonalStates, taken as independent.
-    No diagonality is assumed for the observable itself: the second moment uses
-    the full matrix square.
+    No structure is assumed for the observable: <i|O^2|i> is the sum over its
+    bands k of O[i, i + k] O[i + k, i], and a dense matrix is just 2 side - 1 bands.
     """
     states = [state] if isinstance(state, DiagonalState) else state
     probs = reduce(np.kron, [st.probs for st in states])  # joint law of independent factors
     if probs.shape[0] != observable.dim:
         raise ValueError(f"state dimension {probs.shape[0]} does not match operator side {observable.dim}")
-    diag_o = observable.mat.diagonal()
-    diag_o2 = np.einsum("ij,ji->i", observable.mat, observable.mat)
-    mean = float(np.real(probs @ diag_o))
+    bands = observable.bands
+    diag_o2 = np.zeros(observable.dim, dtype=complex)
+    for offset in sorted(bands.keys() & {-k for k in bands}):  # (i, i + k) meets (i + k, i) on rows of both bands
+        diag_o2[max(0, -offset) : observable.dim - max(0, offset)] += bands[offset] * bands[-offset]
+    mean = float(np.real(probs @ bands[0])) if 0 in bands else 0.0
     second = float(np.real(probs @ diag_o2))
     return NumberStats(mean, max(second - mean * mean, 0.0))
 

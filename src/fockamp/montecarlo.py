@@ -47,20 +47,27 @@ _BLOCK = 1 << 17
 MAX_DRAWS = 1 << 36  # most reservoir draws (trials * draw slots) one run may take: ~40 min at 3e7 draws/s
 
 
-def _mix_u64(z: np.ndarray) -> np.ndarray:
-    """64-bit finalizer (SplitMix64 style), wrapping modulo 2**64."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _mix_u64(z: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """64-bit finalizer (SplitMix64 style), wrapping modulo 2**64, in place on the array ``z``, which it returns."""
+    scratch = np.empty_like(z) if scratch is None else scratch  # the shifted copy, z's shape
+    for bits, factor in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(bits), out=scratch)
+        z *= np.uint64(factor)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    return z
 
 
 def _uniforms(seed: int, slots, start: int, count: int) -> np.ndarray:
     """Uniforms in [0, 1) for trials start..start+count-1: one row per draw slot, a 1-D row for a single slot."""
     slot = np.asarray(slots, dtype=np.uint64).reshape(-1, 1)  # an array, so the key arithmetic wraps without warning
     key = _mix_u64(np.uint64(seed & _MASK) ^ _mix_u64((slot + np.uint64(1)) * np.uint64(_PHI)))
-    t = np.arange(start, start + count, dtype=np.uint64)
-    z = _mix_u64(_mix_u64(t * np.uint64(_PHI) + key) ^ _mix_u64(key + np.uint64(_MIX2)))
-    return ((z >> np.uint64(11)) * (2.0**-53)).reshape(np.shape(slots) + (count,))
+    z, scratch = np.empty((2, len(slot), count), dtype=np.uint64)  # one work array; the uniforms end up in scratch
+    np.multiply(np.arange(start, start + count, dtype=np.uint64), np.uint64(_PHI), out=z)
+    z += key
+    _mix_u64(z, scratch)
+    z ^= _mix_u64(key + np.uint64(_MIX2))
+    np.right_shift(_mix_u64(z, scratch), np.uint64(11), out=z)
+    return np.multiply(z, 2.0**-53, out=scratch.view(np.float64)).reshape(np.shape(slots) + (count,))
 
 
 @dataclass(frozen=True)
@@ -136,7 +143,8 @@ class ReservoirSpec:
             if self.nbar == 0.0:
                 return np.zeros(u.shape, dtype=np.int64)
             q = self.nbar / (self.nbar + 1.0)
-            return np.floor(np.log1p(-u) / math.log(q)).astype(np.int64)
+            v = np.divide(np.log1p(np.negative(u, out=u), out=u), math.log(q), out=u)  # in place: u is used once
+            return np.floor(v, out=v).astype(np.int64)
         cdf = np.cumsum(np.asarray(self.probs))
         idx = np.searchsorted(cdf, u, side="right")
         return np.minimum(idx, len(self.probs) - 1).astype(np.int64)

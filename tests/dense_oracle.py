@@ -2,15 +2,22 @@
 
 ``fockamp.channels`` fills the few nonzero diagonals of each operator directly,
 and ``fockamp.filters`` gives the filtered count's moments in closed form.
-These builds take the long way, through the truncated ``annihilation`` matrix
-and its ``dagger()``, ``identity``, ``tensor`` and matrix products, and serve
-only as the oracle those are checked against at small cutoffs.
+These builds take the long way, on plain numpy arrays: the dense ``.mat`` of
+the truncated ``annihilation`` and of ``identity``, ``np.kron``, the conjugate
+transpose and ndarray ``@``.  Only the final array is wrapped in an
+``OperatorMatrix``, so no build runs through the band algebra it checks.
+They serve only as the oracle at small cutoffs.
 """
 import math
 
 import numpy as np
 
-from fockamp import FockSpace, OperatorMatrix, TransferPair, annihilation, identity, tensor
+from fockamp import FockSpace, OperatorMatrix, TransferPair, annihilation, identity
+
+
+def _number_out(spaces: tuple, a_out: np.ndarray) -> OperatorMatrix:
+    """a_out^dag a_out as a dense product, wrapped once."""
+    return OperatorMatrix(spaces, a_out.conj().T @ a_out)
 
 
 def shift_operator(space: FockSpace, phase: float = 0.0) -> OperatorMatrix:
@@ -28,27 +35,28 @@ def nonlinear_bout(space_b: FockSpace, space_a: FockSpace, gain: int, phase: flo
     n_b = np.arange(space_b.dim)
     n_a = np.arange(space_a.dim)
     diag = (n_b[:, None] + gain * n_a[None, :]).reshape(-1).astype(float)
-    s_full = tensor(shift_operator(space_b, phase), identity(space_a))
-    return OperatorMatrix((space_b, space_a), s_full.mat * np.sqrt(diag)[None, :])
+    s_full = np.kron(shift_operator(space_b, phase).mat, identity(space_a).mat)
+    return OperatorMatrix((space_b, space_a), s_full * np.sqrt(diag)[None, :])
 
 
 def caves_number_out(space_a: FockSpace, space_b: FockSpace, gain: float) -> OperatorMatrix:
     """a_out^dag a_out for a_out = sqrt(G) a x 1 + sqrt(G-1) 1 x b_dag."""
-    a_out = math.sqrt(gain) * tensor(annihilation(space_a), identity(space_b)) + math.sqrt(
-        gain - 1.0
-    ) * tensor(identity(space_a), annihilation(space_b).dagger())
-    return a_out.dagger() @ a_out
+    a, b = annihilation(space_a).mat, annihilation(space_b).mat
+    a_out = math.sqrt(gain) * np.kron(a, identity(space_b).mat) + math.sqrt(gain - 1.0) * np.kron(
+        identity(space_a).mat, b.conj().T
+    )
+    return _number_out((space_a, space_b), a_out)
 
 
 def phase_sensitive_number_out(space_a: FockSpace, gain: float) -> OperatorMatrix:
     """a_out^dag a_out for a_out = sqrt(G) a + sqrt(G-1) a_dag."""
-    a_out = math.sqrt(gain) * annihilation(space_a) + math.sqrt(gain - 1.0) * annihilation(space_a).dagger()
-    return a_out.dagger() @ a_out
+    a = annihilation(space_a).mat
+    return _number_out((space_a,), math.sqrt(gain) * a + math.sqrt(gain - 1.0) * a.conj().T)
 
 
 def filtered_output_operator(space_a: FockSpace, space_c: FockSpace, tp: TransferPair) -> OperatorMatrix:
     """Number operator of the filtered mode a_out = T a + R c on the (a, c) space."""
-    a_out = tp.T * tensor(annihilation(space_a), identity(space_c)) + tp.R * tensor(
-        identity(space_a), annihilation(space_c)
+    a_out = tp.T * np.kron(annihilation(space_a).mat, identity(space_c).mat) + tp.R * np.kron(
+        identity(space_a).mat, annihilation(space_c).mat
     )
-    return a_out.dagger() @ a_out
+    return _number_out((space_a, space_c), a_out)

@@ -24,6 +24,7 @@ from fockamp import (
     shift_operator,
     tensor,
     thermal_state,
+    var_caves,
 )
 from fockamp.channels import COMMUTATOR_TOL
 
@@ -183,6 +184,18 @@ class TestLinearAmplifiers:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000  # the array itself would be 4225^2 * 16 B = 286 MB
+
+    def test_caves_build_and_moments_stay_in_band_storage(self):
+        sp = FockSpace(52)  # side 2809: one dense complex matrix would be 126 MB
+        state = thermal_state(sp, 1.0)
+        tracemalloc.start()
+        try:
+            stats = moments([state, state], caves_number_out(sp, sp, 2.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        assert abs(stats.variance - var_caves(2.5, state.number_stats(), state.number_stats())) <= 1e-8 * stats.variance
 
     def test_phase_sensitive_gain_one_is_number_op(self):
         sa = FockSpace(6)

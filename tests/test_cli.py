@@ -234,7 +234,7 @@ DEFAULT_OUTPUT_SHA256 = {
     "mc_runs.csv": "15987fc4589869effb89368dca1861c495fb56e0944c21caef061ea39fa40c88",
     "filter_scan.csv": "c6aeb32ecca3e1964a09f796b70f106f092d7312ed3a12fe59fbb63154fd09f2",
     "shelving_demo.csv": "f4e9f56d5bc74eeffea4aec0518808f180bc6505b7685c9eef7a34cf67a582bf",
-    "verify.stdout": "347d99787ef5edf99f3e6606a7ea4146a9ba0060b4a788c387b78b8c8ed9d8f8",
+    "verify.stdout": "c8fd6259ff4ef535020d3e2cee1df048c99058259a325278f9fd38e03597e50e",
 }
 
 

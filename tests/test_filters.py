@@ -217,6 +217,17 @@ class TestTransferTable:
         with pytest.raises(ValueError, match="row 3"):
             read_transfer_table(path)
 
+    @pytest.mark.parametrize(
+        "second_row",
+        ["2.0,nan,0.0,1.0,0.0", "inf,1.0,0.0,0.0,0.0", "abc,1.0,0.0,0.0,0.0", "2.0,1.0"],
+        ids=["T_re nan", "omega inf", "omega abc", "short row"],
+    )
+    def test_every_refusal_names_its_row(self, tmp_path, second_row):
+        path = tmp_path / "bad.csv"
+        path.write_text(self.HEADER + "1.0,1.0,0.0,0.0,0.0\n" + second_row + "\n")
+        with pytest.raises(ValueError, match="^row 3: "):
+            read_transfer_table(path)
+
     def test_requires_all_columns(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("omega,T_re\n1.0,1.0\n")

@@ -143,6 +143,83 @@ class TestFromBands:
             OperatorMatrix.from_bands((FockSpace(3),), {1: np.ones(4)})
 
 
+UNIT = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+@st.composite
+def band_operator(draw, side):
+    """An operator of the given side: a dense random matrix split by the constructor (zeros sprinkled in),
+    or a band set holding the wrap offset 1 - side, bands of zeros and offsets past the edge."""
+    space = (FockSpace(side - 1),)
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.tuples(UNIT, UNIT, st.booleans()), min_size=side * side, max_size=side * side))
+        mat = np.array([complex(re, im) if keep else 0j for re, im, keep in entries]).reshape(side, side)
+        return OperatorMatrix(space, mat), mat
+    offsets = draw(st.sets(st.integers(-side - 1, side + 1), max_size=4)) | {1 - side}
+    bands = {}
+    for o in offsets:
+        length = max(side - abs(o), 0)
+        kind = draw(st.sampled_from(["zero", "scalar", "vector"]))
+        if kind == "zero":  # a band with no nonzero entries
+            bands[o] = 0.0
+        elif kind == "scalar":
+            bands[o] = complex(draw(UNIT), draw(UNIT))
+        else:
+            parts = [np.array(draw(st.lists(UNIT, min_size=length, max_size=length)), dtype=float) for _ in range(2)]
+            bands[o] = parts[0] + 1j * parts[1]
+    op = OperatorMatrix.from_bands(space, bands)
+    mat = np.zeros((side, side), dtype=complex)
+    for o, v in bands.items():
+        if side - abs(o) > 0:
+            mat += np.diag(np.broadcast_to(np.asarray(v, dtype=complex), (side - abs(o),)), k=o)
+    return op, mat
+
+
+@st.composite
+def operator_pairs(draw):
+    side = draw(st.integers(1, 9))
+    x, y = draw(band_operator(side)), draw(band_operator(side))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=side, max_size=side))) + 1e-3
+    scalar = complex(draw(UNIT), draw(UNIT))
+    return x, y, DiagonalState(FockSpace(side - 1), weights / weights.sum()), scalar
+
+
+def _dense_moments(probs, mat):
+    mean = float(np.real(probs @ np.diag(mat)))
+    return mean, max(float(np.real(probs @ np.diag(mat @ mat))) - mean * mean, 0.0)
+
+
+class TestBandAlgebra:
+    """Every band operation against ndarray arithmetic on the dense matrices."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=operator_pairs())
+    def test_matches_ndarray_arithmetic(self, case):
+        (x, xm), (y, ym), state, scalar = case
+        assert np.array_equal(x.mat, xm) and np.array_equal(y.mat, ym)
+        assert np.array_equal(OperatorMatrix(x.spaces, xm).mat, xm)  # the split gives the matrix back exactly
+        for built, want in (
+            (x.dagger(), xm.conj().T),
+            (x + y, xm + ym),
+            (x - y, xm - ym),
+            (scalar * x, scalar * xm),
+            (x @ y, xm @ ym),
+            (y @ x.dagger(), ym @ xm.conj().T),
+        ):
+            assert built.spaces == x.spaces and built.dim == xm.shape[0]
+            assert np.max(np.abs(built.mat - want)) <= 1e-12
+        for op, mat in ((x, xm), (x + x.dagger(), xm + xm.conj().T), (x @ y, xm @ ym)):
+            stats, (mean, variance) = moments(state, op), _dense_moments(state.probs, mat)
+            assert abs(stats.mean - mean) <= 1e-12 and abs(stats.variance - variance) <= 1e-12
+
+    def test_band_storage_keeps_only_the_diagonals(self):
+        op = OperatorMatrix((FockSpace(3),), np.diag([1.0, 2.0, 3.0], k=1) + np.diag([5.0], k=-3))
+        assert sorted(op.bands) == [-3, 1]
+        assert np.array_equal(op.bands[1], [1.0, 2.0, 3.0]) and not op.bands[1].flags.writeable
+        assert not op.mat.flags.writeable
+        assert sorted((op @ op.dagger()).bands) == [0]  # a weighted cyclic shift times its adjoint is diagonal
+
+
 class TestStates:
     def test_fock_state_basics(self):
         st = fock_state(FockSpace(5), 2)
