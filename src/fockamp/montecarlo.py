@@ -57,11 +57,16 @@ def _mix_u64(z: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     return z
 
 
-def _uniforms(seed: int, slots, start: int, count: int) -> np.ndarray:
-    """Uniforms in [0, 1) for trials start..start+count-1: one row per draw slot, a 1-D row for a single slot."""
+def _uniforms(seed: int, slots, start: int, count: int, work: Optional[np.ndarray] = None) -> np.ndarray:
+    """Uniforms in [0, 1) for trials start..start+count-1: one row per draw slot, a 1-D row for a single slot.
+
+    The finalizer runs in place in ``work``, a uint64 array of shape (2, rows >= slots, count), fresh when not
+    given: the uniforms are its second half viewed as floats, and its first half is free again on return.
+    """
     slot = np.asarray(slots, dtype=np.uint64).reshape(-1, 1)  # an array, so the key arithmetic wraps without warning
     key = _mix_u64(np.uint64(seed & _MASK) ^ _mix_u64((slot + np.uint64(1)) * np.uint64(_PHI)))
-    z, scratch = np.empty((2, len(slot), count), dtype=np.uint64)  # one work array; the uniforms end up in scratch
+    work = np.empty((2, len(slot), count), dtype=np.uint64) if work is None else work
+    z, scratch = work[0, : len(slot)], work[1, : len(slot)]
     np.multiply(np.arange(start, start + count, dtype=np.uint64), np.uint64(_PHI), out=z)
     z += key
     _mix_u64(z, scratch)
@@ -136,18 +141,21 @@ class ReservoirSpec:
             return f"thermal({self.nbar:g})"
         return f"empirical(len={len(self.probs)})"
 
-    def _draw_block(self, u: np.ndarray) -> np.ndarray:
+    def _draw_block(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Draws for the uniforms ``u``, written into ``out`` (int64, u's shape) when given; a thermal law overwrites u."""
+        out = np.empty(u.shape, dtype=np.int64) if out is None else out
         if self.kind == "fock":
-            return np.full(u.shape, self.n, dtype=np.int64)
-        if self.kind == "thermal":
-            if self.nbar == 0.0:
-                return np.zeros(u.shape, dtype=np.int64)
+            out[...] = self.n
+        elif self.kind == "thermal" and self.nbar == 0.0:
+            out[...] = 0
+        elif self.kind == "thermal":
             q = self.nbar / (self.nbar + 1.0)
-            v = np.divide(np.log1p(np.negative(u, out=u), out=u), math.log(q), out=u)  # in place: u is used once
-            return np.floor(v, out=v).astype(np.int64)
-        cdf = np.cumsum(np.asarray(self.probs))
-        idx = np.searchsorted(cdf, u, side="right")
-        return np.minimum(idx, len(self.probs) - 1).astype(np.int64)
+            v = np.floor(np.divide(np.log1p(np.negative(u, out=u), out=u), math.log(q), out=u), out=u)
+            np.copyto(out, v, casting="unsafe")  # the cast astype(np.int64) makes
+        else:
+            cdf = np.cumsum(np.asarray(self.probs))
+            np.minimum(np.searchsorted(cdf, u, side="right"), len(self.probs) - 1, out=out)
+        return out
 
 
 def reservoir_draws(spec: ReservoirSpec, count: int, seed: int, draw_index: int = 0) -> np.ndarray:
@@ -265,11 +273,18 @@ def _power_sums(spec: ScenarioSpec, trial_offset: int) -> tuple[int, int, int, i
         count = min(_BLOCK, end - start)
         x = np.full(count, signal, dtype=np.int64)
         first = 0  # a class's slots follow its predecessors' in draw-slot order
+        work = np.empty((2, _BLOCK // count, count), dtype=np.uint64)  # the generator's, reused by every chunk
         for w, m in classes:
             for lo in range(first, first + m, _BLOCK // count):  # chunks of at most _BLOCK uniforms
-                u = _uniforms(spec.seed, np.arange(lo, min(lo + _BLOCK // count, first + m)), start, count)
-                x += w * spec.reservoir._draw_block(u).sum(axis=0)
+                slots = np.arange(lo, min(lo + _BLOCK // count, first + m))
+                u = _uniforms(spec.seed, slots, start, count, work)
+                # the draws take the work array's first half, which the uniforms no longer need
+                draws = spec.reservoir._draw_block(u, work[0, : len(slots)].view(np.int64))
+                draws = draws[0] if len(slots) == 1 else draws.sum(axis=0)
+                draws *= w
+                x += draws
             first += m
+        work = u = draws = None  # released before the fold, which needs room of its own
         values, counts = (a.astype(object) for a in np.unique(x, return_counts=True))
         for k in range(4):
             counts = counts * values

@@ -451,9 +451,9 @@ class TestRunScenario:
     def test_a_weight_class_draws_its_slots_in_one_call(self, monkeypatch):
         calls = []
 
-        def counted(seed, slots, start, count):
+        def counted(seed, slots, start, count, *work):
             calls.append(np.size(slots))
-            return _uniforms(seed, slots, start, count)
+            return _uniforms(seed, slots, start, count, *work)
 
         monkeypatch.setattr("fockamp.montecarlo._uniforms", counted)
         spec = ScenarioSpec(
