@@ -50,6 +50,7 @@ from .montecarlo import (
     ScenarioSpec,
     analytic_variance,
     reservoir_draws,
+    run_mode_sweep,
     run_scenario,
 )
 from .filters import (

@@ -21,13 +21,13 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
 from . import filters, noise
 from .fock import NumberStats, _check_integer, _check_real
-from .montecarlo import MAX_DRAWS, ReservoirSpec, ScenarioSpec, analytic_variance, run_scenario
+from .montecarlo import MAX_DRAWS, ReservoirSpec, ScenarioSpec, analytic_variance, run_mode_sweep, run_scenario
 from .verify import VerifyConfig, run_checks
 
 __all__ = ["main"]
@@ -254,34 +254,23 @@ def _parse_shelving_demo(cfg: dict) -> Callable[[], int]:
     gain = _check_integer(cfg["gain"], "gain", 1)
     n_a, trials, seed = (_check_integer(cfg[k], k, least) for k, least in (("n_a", 0), ("trials", 2), ("seed", None)))
     reservoir = ReservoirSpec.thermal(cfg["nbar"])
-    if trials * gain * (gain + 1) // 2 > MAX_DRAWS:  # one draw slot per cavity mode over G..1 modes, before G specs
+    # conservative: the sweep draws trials * G, and this bounds the trials * G(G+1)/2 of G separate runs, as documented
+    if trials * gain * (gain + 1) // 2 > MAX_DRAWS:
         raise ConfigError(f"{trials} trials of G(G+1)/2 = {gain * (gain + 1) // 2} draw slots exceed MAX_DRAWS = {MAX_DRAWS}")
-    specs = [
-        ScenarioSpec(
-            model="Shelving",
-            input_n_a=n_a,
-            reservoir=reservoir,
-            trials=trials,
-            seed=seed,
-            gain_G=gain,
-            cavity_mode_count=modes,
-        )
-        for modes in range(gain, 0, -1)
-    ]
+    spec = ScenarioSpec(
+        model="Shelving", input_n_a=n_a, reservoir=reservoir, trials=trials, seed=seed, gain_G=gain, cavity_mode_count=gain
+    )
     path = _out_path(cfg, "shelving_demo.csv")
 
     def run() -> int:
-        rows = []
-        for spec in specs:
-            modes = spec.cavity_mode_count
-            stats = run_scenario(spec)
+        rows, sweep = [], run_mode_sweep(spec)
+        for modes in range(gain, 0, -1):
+            stats = sweep[modes - 1]
             # an n_a = 0 run would reuse these draws, so the measured signal is exactly G * n_a
             snr_mc = gain * n_a / math.sqrt(stats.variance) if stats.variance > 0 else math.inf
-            variance = analytic_variance(spec)
+            variance = analytic_variance(replace(spec, cavity_mode_count=modes))
             snr_analytic = gain * n_a / math.sqrt(variance) if variance > 0 else math.inf
-            rows.append(
-                [modes, gain, n_a, reservoir.label, spec.trials, spec.seed, stats.mean, stats.variance, snr_mc, snr_analytic]
-            )
+            rows.append([modes, gain, n_a, reservoir.label, trials, seed, stats.mean, stats.variance, snr_mc, snr_analytic])
         header = ["cavity_modes", "G", "n_a", "reservoir", "trials", "seed", "mean", "variance", "snr_mc", "snr_analytic"]
         _write_csv(path, header, rows)
         lo, hi = rows[0][-1], rows[-1][-1]

@@ -11,6 +11,9 @@ entry per cascade step, not one per draw.  Draw (t, j) comes from a
 counter-based generator keyed on (seed, t, j), so trials are reproducible
 under any execution order or split.  Both estimators come from exact integer
 central sums rounded once: bitwise deterministic, and blind to a constant shift.
+As slot j's draws depend on nothing else, the first k slots of a run are a
+k-slot run: a readout after k slots gives that run's sums from the same pass,
+so one pass over a G-mode shelving run serves every mode count 1..G.
 
 Reservoir draws use untruncated laws (the geometric law for thermal states),
 so this module is the truncation-free statistical oracle for the closed-form
@@ -18,6 +21,7 @@ variances.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -34,6 +38,7 @@ __all__ = [
     "SampleStats",
     "reservoir_draws",
     "run_scenario",
+    "run_mode_sweep",
     "analytic_variance",
 ]
 
@@ -259,37 +264,54 @@ def analytic_variance(spec: ScenarioSpec) -> float:
     return sum(m * w * w for w, m in _weight_classes(spec)) * spec.reservoir.stats.variance
 
 
-def _power_sums(spec: ScenarioSpec, trial_offset: int) -> tuple[int, int, int, int]:
-    """Exact sums of x, x^2, x^3, x^4 over all trial outputs: each block's distinct outputs, in Python ints."""
+def _fold(x: np.ndarray, sums: list) -> None:
+    """Add the exact sums of x, x^2, x^3, x^4 to ``sums``: each distinct output once, in Python ints."""
+    values, counts = (a.astype(object) for a in np.unique(x, return_counts=True))
+    for k in range(4):
+        counts = counts * values
+        sums[k] += int(counts.sum())
+
+
+def _power_sums(spec: ScenarioSpec, trial_offset: int, readouts: Optional[Sequence[int]] = None):
+    """Exact sums of x, x^2, x^3, x^4 over all trial outputs: each block's distinct outputs, in Python ints.
+
+    Given ``readouts``, ascending slot counts that end at the spec's own, it returns one such 4-tuple per readout k:
+    x read after its first k draw slots, which is the k-slot run's x, as slot j is keyed on (seed, trial, j) alone.
+    """
     classes = _weight_classes(spec)
     signal = spec.gain_G * spec.input_n_a
+    points = [sum(m for _, m in classes)] if readouts is None else list(readouts)
     if spec.reservoir.kind == "fock" or spec.reservoir._max_draw == 0:
-        # every draw is _max_draw, so every trial counts the same c
-        c = signal + spec.reservoir._max_draw * sum(m * w for w, m in classes)
-        return tuple(spec.trials * c**k for k in range(1, 5))
-    sums = [0, 0, 0, 0]
+        # every draw is _max_draw, so after k slots every trial counts the same c: the signal plus that many weights
+        firsts = list(itertools.accumulate((m for _, m in classes), initial=0))
+        weights = (sum(w * min(m, max(k - f, 0)) for (w, m), f in zip(classes, firsts)) for k in points)
+        counts = [signal + spec.reservoir._max_draw * weight for weight in weights]
+        sums = [tuple(spec.trials * c**p for p in range(1, 5)) for c in counts]
+        return sums[0] if readouts is None else sums
+    sums = [[0, 0, 0, 0] for _ in points]
     end = trial_offset + spec.trials
     for start in range(trial_offset, end, _BLOCK):
         count = min(_BLOCK, end - start)
         x = np.full(count, signal, dtype=np.int64)
-        first = 0  # a class's slots follow its predecessors' in draw-slot order
+        lo, readout = 0, 0  # the next draw slot, and the next readout
         work = np.empty((2, _BLOCK // count, count), dtype=np.uint64)  # the generator's, reused by every chunk
         for w, m in classes:
-            for lo in range(first, first + m, _BLOCK // count):  # chunks of at most _BLOCK uniforms
-                slots = np.arange(lo, min(lo + _BLOCK // count, first + m))
+            top = lo + m  # a class's slots follow its predecessors' in draw-slot order
+            while lo < top:  # chunks of at most _BLOCK uniforms, each ending by the next readout
+                slots = np.arange(lo, min(lo + _BLOCK // count, top, points[readout]))
                 u = _uniforms(spec.seed, slots, start, count, work)
                 # the draws take the work array's first half, which the uniforms no longer need
                 draws = spec.reservoir._draw_block(u, work[0, : len(slots)].view(np.int64))
                 draws = draws[0] if len(slots) == 1 else draws.sum(axis=0)
                 draws *= w
                 x += draws
-            first += m
-        work = u = draws = None  # released before the fold, which needs room of its own
-        values, counts = (a.astype(object) for a in np.unique(x, return_counts=True))
-        for k in range(4):
-            counts = counts * values
-            sums[k] += int(counts.sum())
-    return tuple(sums)
+                lo += len(slots)
+                if lo == points[readout] < points[-1]:  # the last readout waits for the work array's release
+                    _fold(x, sums[readout])
+                    readout += 1
+        work = u = draws = None  # released before the last fold, which needs room of its own
+        _fold(x, sums[-1])
+    return tuple(sums[0]) if readouts is None else [tuple(s) for s in sums]
 
 
 def _stats_from_power_sums(n: int, s1: int, s2: int, s3: int, s4: int) -> SampleStats:
@@ -315,3 +337,14 @@ def run_scenario(spec: ScenarioSpec, trial_offset: int = 0) -> SampleStats:
         raise ValueError(f"a variance needs at least 2 trials, got {spec.trials}")
     return _stats_from_power_sums(spec.trials, *_power_sums(spec, trial_offset))
 
+
+def run_mode_sweep(spec: ScenarioSpec, trial_offset: int = 0) -> list[SampleStats]:
+    """Estimators for every cavity-mode count 1..cavity_mode_count of a Shelving spec, from one pass of its draws.
+
+    The k-mode run draws exactly the first k draw slots of this one, so entry k - 1 equals
+    ``run_scenario(replace(spec, cavity_mode_count=k), trial_offset)`` bitwise.
+    """
+    if spec.model != "Shelving" or spec.trials < 2:  # refused before any sampling
+        raise ValueError(f"a mode sweep needs a Shelving spec of at least 2 trials, got {spec.model} of {spec.trials}")
+    sums = _power_sums(spec, trial_offset, range(1, spec.cavity_mode_count + 1))
+    return [_stats_from_power_sums(spec.trials, *mode_sums) for mode_sums in sums]

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from fockamp import (
     moments,
     number_op,
     reservoir_draws,
+    run_mode_sweep,
     run_scenario,
     thermal_state,
     var_g_modes,
@@ -72,10 +74,10 @@ def spelled_out_weights(spec):
     return [1] * spec.cavity_mode_count  # Shelving
 
 
-def brute_force_power_sums(spec, trial_offset):
-    """Draw every slot for every trial and sum x, x^2, x^3, x^4 in Python ints."""
+def brute_force_power_sums(spec, trial_offset, slots=None):
+    """Draw every slot (the first ``slots`` when given) for every trial and sum x, x^2, x^3, x^4 in Python ints."""
     x = [spec.gain_G * spec.input_n_a] * spec.trials
-    for j, w in enumerate(spelled_out_weights(spec)):
+    for j, w in enumerate(spelled_out_weights(spec)[:slots]):
         draws = spec.reservoir._draw_block(_uniforms(spec.seed, j, trial_offset, spec.trials)).tolist()
         x = [v + w * d for v, d in zip(x, draws)]
     return tuple(sum(v**k for v in x) for k in (1, 2, 3, 4))
@@ -478,6 +480,16 @@ class TestRunScenario:
         )
         assert _power_sums(spec, offset) == brute_force_power_sums(spec, offset)
 
+    @pytest.mark.parametrize("reservoir", [ReservoirSpec.thermal(0.7), ReservoirSpec.fock(2)], ids=lambda r: r.label)
+    def test_readouts_match_brute_force_on_each_slot_prefix(self, reservoir, monkeypatch):
+        # 2 slots per call at 3 trials; readouts cut chunks inside and at the ends of the classes of 2, 4 and 8 slots
+        monkeypatch.setattr("fockamp.montecarlo._BLOCK", 8)
+        spec = ScenarioSpec(
+            model="MultiStepMulti", input_n_a=1, reservoir=reservoir, trials=3, seed=-5, step_gain_g=2, steps_N=3
+        )
+        readouts = [1, 2, 3, 5, 9, 14]
+        assert _power_sums(spec, 7, readouts) == [brute_force_power_sums(spec, 7, k) for k in readouts]
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(min_value=-(2**70), max_value=2**70),
@@ -596,6 +608,20 @@ class TestExactEstimators:
         with pytest.raises(ValueError, match="at least 2 trials"):
             run_scenario(spec)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(model="Shelving", trials=1, cavity_mode_count=3), dict(model="GModes", trials=1000)],
+        ids=["one-trial", "not-shelving"],
+    )
+    def test_mode_sweep_refusals_come_before_sampling(self, kwargs, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a refused sweep draws no uniforms")
+
+        monkeypatch.setattr("fockamp.montecarlo._uniforms", refuse)
+        spec = ScenarioSpec(input_n_a=1, reservoir=ReservoirSpec.thermal(1.0), seed=5, gain_G=4, **kwargs)
+        with pytest.raises(ValueError, match="a mode sweep needs a Shelving spec of at least 2 trials"):
+            run_mode_sweep(spec)
+
     def test_signal_shift_leaves_variance_bitwise_unchanged(self):
         def run(gain, n_a):
             reservoir = ReservoirSpec.thermal(1.0)
@@ -692,6 +718,51 @@ class TestShelving:
         spec = self.base(3)
         stats = run_scenario(spec)
         assert abs(z_score(stats, 3 * 1.0 * 2.0)) <= 4.0  # m * nbar * (nbar + 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        gain=st.integers(min_value=1, max_value=9),
+        trials=st.sampled_from([2, 3, 30_000, _BLOCK + 9]),  # 30 000 trials take several slots per chunk
+        seed=st.integers(min_value=-(2**70), max_value=2**70),
+        offset=st.integers(min_value=0, max_value=2**40),
+        reservoir=st.sampled_from(
+            [
+                ReservoirSpec.thermal(0.7),
+                ReservoirSpec.empirical([0.5, 0.2, 0.3]),
+                ReservoirSpec.fock(2),
+                ReservoirSpec.thermal(0.0),
+            ]
+        ),
+    )
+    @example(9, _BLOCK + 9, -(2**65) - 3, 7, ReservoirSpec.thermal(0.7))  # crosses a block boundary
+    @example(5, 30_000, 2**64 + 11, 0, ReservoirSpec.empirical([0.5, 0.2, 0.3]))
+    @example(4, 3, -1, 2**33, ReservoirSpec.fock(2))  # draw-free: one constant per readout
+    def test_mode_sweep_equals_each_mode_count_run(self, gain, trials, seed, offset, reservoir):
+        spec = ScenarioSpec(
+            model="Shelving", input_n_a=2, reservoir=reservoir, trials=trials, seed=seed, gain_G=gain, cavity_mode_count=gain
+        )
+        sweep = run_mode_sweep(spec, offset)
+        assert len(sweep) == gain
+        for modes, stats in enumerate(sweep, start=1):
+            assert stats == run_scenario(replace(spec, cavity_mode_count=modes), offset)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        gain=st.integers(min_value=1, max_value=6),
+        trials=st.integers(min_value=1, max_value=_BLOCK),
+        seed=st.integers(min_value=-(2**70), max_value=2**70),
+        reservoir=st.sampled_from([ReservoirSpec.thermal(1.3), ReservoirSpec.fock(1)]),
+    )
+    @example(3, _BLOCK // 2 + 5, 9, ReservoirSpec.thermal(1.3))  # the 2T-trial run crosses a block boundary
+    def test_mode_sweep_splits_and_merges_exactly(self, gain, trials, seed, reservoir):
+        def sweep(count, offset):
+            spec = ScenarioSpec(
+                model="Shelving", input_n_a=1, reservoir=reservoir, trials=count, seed=seed, gain_G=gain, cavity_mode_count=gain
+            )
+            return _power_sums(spec, offset, range(1, gain + 1))
+
+        head, tail, whole = sweep(trials, 0), sweep(trials, trials), sweep(2 * trials, 0)
+        assert [tuple(x + y for x, y in zip(h, t)) for h, t in zip(head, tail)] == whole
 
 
 class TestMultiplexed:
