@@ -33,7 +33,7 @@ UNITARITY_TOL = 1e-12
 TABLE_UNITARITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TransferPair:
     """Transmission/reflection amplitudes of a lossless filter at one frequency."""
 
@@ -41,11 +41,11 @@ class TransferPair:
     T: complex
     R: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", _check_real(self.omega, "frequency"))
-        miss = abs(abs(self.T) ** 2 + abs(self.R) ** 2 - 1.0)
+    def __init__(self, omega: float, T: complex, R: complex):
+        omega, miss = _check_real(omega, "frequency"), abs(abs(T) ** 2 + abs(R) ** 2 - 1.0)
         if not miss <= UNITARITY_TOL:  # written so that a nan amplitude fails
             raise ValueError(f"lossless filter requires |T|^2+|R|^2 = 1, off by {miss:.3e}")
+        self.__dict__.update(omega=omega, T=T, R=R)  # the one write of each field, past the frozen __setattr__
 
 
 def lorentzian_transfer(omega: float, omega0: float, gamma: float) -> TransferPair:

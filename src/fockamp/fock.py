@@ -46,6 +46,7 @@ LEAKAGE_TOP_LEVELS = 3
 LEAKAGE_TOL = 1e-10
 MAX_CUTOFF = 100_000  # settle_cutoff gives up beyond this
 MAX_DENSE_SIDE = 4096  # largest operator side: its bands and its dense view hold at most 256 MiB of complex entries
+_FLOAT_MAX = sys.float_info.max
 
 
 class TruncationError(RuntimeError):
@@ -72,8 +73,8 @@ def _check_real(value, name: str, minimum: Optional[float] = None, strict: bool 
 
     bool, str, nan, +-inf and values out of range raise ValueError.  The slow numbers.Real ABC test comes last.
     """
-    real = isinstance(value, float) or (isinstance(value, (int, numbers.Real)) and not isinstance(value, bool))
-    if not real or not abs(value) <= sys.float_info.max:
+    real = type(value) is float or (isinstance(value, (int, numbers.Real)) and not isinstance(value, bool))
+    if not real or not abs(value) <= _FLOAT_MAX:
         raise ValueError(f"{name} must be a real number within the float range, got {value!r}")
     if minimum is not None and (value <= minimum if strict else value < minimum):
         raise ValueError(f"{name} must be a real number {'>' if strict else '>='} {minimum:g}, got {value!r}")
@@ -134,8 +135,13 @@ class OperatorMatrix:
     def from_bands(cls, spaces: Sequence[FockSpace], bands: Mapping[int, object]) -> "OperatorMatrix":
         """Operator whose only nonzero diagonals are ``bands``: {k: scalar or vector of length side - |k|}."""
         spaces = tuple(spaces)
-        side = _dense_side(spaces)
-        full = {k: np.broadcast_to(np.asarray(v, dtype=complex), (max(side - abs(k), 0),)).copy() for k, v in bands.items()}
+        side, full = _dense_side(spaces), {}
+        for k, v in bands.items():
+            values = np.asarray(v)  # the assignment below would read None as nan, "1" as 1 and a (1, n) array as a vector
+            if values.ndim > 1 or values.dtype.kind not in "biufc":
+                raise ValueError(f"band {k} must be a number or a vector of numbers, got {v!r}")
+            band = full[k] = np.empty(max(side - abs(k), 0), dtype=complex)  # a copy: never the caller's array
+            band[:] = values
         return object.__new__(cls)._set(spaces, side, {k: v for k, v in full.items() if v.size})  # |k| >= side: no entries
 
     @property
@@ -157,15 +163,19 @@ class OperatorMatrix:
         """Band k1 times band k2 lands on band k1 + k2, in O(side) per pair."""
         self._check_same_shape(other)
         side, out = self.dim, {}
+        right = [(k2, b, max(0, -k2)) for k2, b in other.bands.items()]  # band k starts at row max(0, -k)
         for k1, a in self.bands.items():
-            for k2, b in other.bands.items():
-                k = k1 + k2  # rows i in [lo, hi) hold both (i, i + k1) and (i + k1, i + k); band k starts at row max(0, -k)
-                lo, hi = max(0, -k1, -k), min(side, side - k1, side - k)
+            start1, limit1 = max(0, -k1), min(side, side - k1)
+            for k2, b, start2 in right:
+                k = k1 + k2  # rows i in [lo, hi) hold both (i, i + k1) and (i + k1, i + k)
+                start = max(0, -k)
+                lo, hi = max(start1, start), min(limit1, side - k)
                 if lo < hi:
-                    term = a[lo - max(0, -k1) : hi - max(0, -k1)] * b[lo + k1 - max(0, -k2) : hi + k1 - max(0, -k2)]
-                    if k not in out:
-                        out[k] = np.zeros(side - abs(k), dtype=complex)
-                    out[k][lo - max(0, -k) : hi - max(0, -k)] += term
+                    term = a[lo - start1 : hi - start1] * b[lo + k1 - start2 : hi + k1 - start2]
+                    band = out.get(k)
+                    if band is None:
+                        band = out[k] = np.zeros(side - abs(k), dtype=complex)
+                    band[lo - start : hi - start] += term
         return self._with(out)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":

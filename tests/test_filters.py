@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +33,14 @@ class TestTransferPair:
         TransferPair(1.0, complex(math.sqrt(0.5)), complex(0, math.sqrt(0.5)))
         with pytest.raises(ValueError):
             TransferPair(1.0, 0.9 + 0j, 0.1 + 0j)
+
+    def test_fields_are_frozen_and_a_bad_frequency_is_named(self):
+        tp = TransferPair(1.0, 1.0 + 0j, 0j)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tp.omega = 2.0
+        assert (tp.omega, tp.T, tp.R) == (1.0, 1.0 + 0j, 0j) and tp == TransferPair(1, 1.0 + 0j, 0j)
+        with pytest.raises(ValueError, match="frequency"):
+            TransferPair(math.inf, 1.0 + 0j, 0j)
 
     def test_resonance_is_exact(self):
         tp = lorentzian_transfer(5.0, 5.0, 0.5)

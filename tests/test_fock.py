@@ -24,7 +24,7 @@ from fockamp import (
     tensor,
     thermal_state,
 )
-from fockamp.fock import MAX_DENSE_SIDE, _dense_side
+from fockamp.fock import LEAKAGE_TOL, MAX_CUTOFF, MAX_DENSE_SIDE, _dense_side
 
 
 def truncated_geometric(nbar, s):
@@ -141,6 +141,24 @@ class TestFromBands:
     def test_wrong_band_length_is_refused(self):
         with pytest.raises(ValueError):
             OperatorMatrix.from_bands((FockSpace(3),), {1: np.ones(4)})
+
+    @pytest.mark.parametrize("value", [np.ones((1, 3)), np.ones((3, 1)), np.ones(2), "abc", "1", None])
+    def test_band_that_is_not_a_vector_of_numbers_is_refused(self, value):
+        # band 1 of side 4 has 3 entries; assignment alone would take (1, 3), "1" and None (as nan)
+        with pytest.raises(ValueError):
+            OperatorMatrix.from_bands((FockSpace(3),), {1: value})
+
+    def test_non_finite_entries_pass_through(self):
+        op = OperatorMatrix.from_bands((FockSpace(2),), {0: np.nan, 1: [np.inf, -np.inf]})
+        assert np.isnan(op.bands[0]).all() and list(op.bands[1]) == [np.inf, -np.inf]
+
+    def test_bands_are_frozen_copies_of_the_callers_arrays(self):
+        main, upper = np.arange(4.0), np.array([1.0, 2.0, 3.0]) + 1j
+        op = OperatorMatrix.from_bands((FockSpace(3),), {0: main, 1: upper, -2: 5.0})
+        main[:], upper[:] = -1.0, 0.0
+        assert np.array_equal(op.bands[0], [0.0, 1.0, 2.0, 3.0]) and np.array_equal(op.bands[1], [1 + 1j, 2 + 1j, 3 + 1j])
+        assert np.array_equal(op.bands[-2], [5.0, 5.0])
+        assert all(not values.flags.writeable for values in op.bands.values())
 
 
 UNIT = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -352,6 +370,19 @@ class TestCutoffPolicy:
         s = settle_cutoff(lambda k: thermal_state(FockSpace(k), 1.0), start)
         assert s >= start
         check_truncation(thermal_state(FockSpace(s), 1.0))
+
+    def test_settle_cutoff_accepts_max_cutoff_itself(self):
+        assert settle_cutoff(lambda k: fock_state(FockSpace(k), 0), MAX_CUTOFF) == MAX_CUTOFF
+
+    def test_leakage_exactly_at_the_tolerance_passes(self):
+        def build(s):  # top-3 leakage is exactly LEAKAGE_TOL: all of it on the top level
+            probs = np.zeros(s + 1)
+            probs[0], probs[-1] = 1.0 - LEAKAGE_TOL, LEAKAGE_TOL
+            return DiagonalState(FockSpace(s), probs)
+
+        assert leakage(build(3), 3) == LEAKAGE_TOL
+        check_truncation(build(3))
+        assert settle_cutoff(build, 3) == 3
 
     def test_settle_cutoff_gives_up_beyond_max_cutoff(self):
         # thermal(1e5) leaks past 1e-10 until s is about 2.3e6
