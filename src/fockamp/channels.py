@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, OperatorMatrix, _check_integer, _check_real, _dense_side
+from .fock import _FLOAT_MAX, FockSpace, OperatorMatrix, _check_integer, _check_real, _dense_side
 from .noise import gain_structure
 
 __all__ = [
@@ -50,12 +50,15 @@ def nonlinear_bout(space_b: FockSpace, space_a: FockSpace, gain: int, phase: flo
     involved.  The gain must be an integer: the scheme transfers G excitations
     per input photon between number states.
     """
-    g, phase = gain_structure(gain)[0], _check_real(phase, "phase")
+    g, phase = float(gain_structure(gain)[0]), _check_real(phase, "phase")
     side = _dense_side((space_b, space_a))  # refused before the O(side) root is formed
+    if space_b.cutoff + g * space_a.cutoff > _FLOAT_MAX:  # the largest n_b + G n_a, in the float arithmetic below
+        raise ValueError(f"n_b + G n_a at gain G = {g:g} is beyond the float range")
     dim_a = space_a.dim
     n_b = np.arange(space_b.dim)
     n_a = np.arange(dim_a)
-    root = np.sqrt((n_b[:, None] + g * n_a[None, :]).reshape(-1).astype(float))
+    # exact, so equal to the int sum rounded once, wherever G n_a <= 2**53
+    root = np.sqrt((n_b[:, None] + g * n_a[None, :]).reshape(-1))
     # column (n_b, n_a) lands on row (n_b - 1, n_a) with the phase, and column
     # (0, n_a) wraps around to row (s_b, n_a) with weight 1
     bands = {dim_a: np.exp(1j * phase) * root[dim_a:], dim_a - side: root[:dim_a]}
@@ -96,9 +99,11 @@ def caves_number_out(space_a: FockSpace, space_b: FockSpace, gain: float) -> Ope
     a_out = sqrt(G) a x 1 + sqrt(G-1) 1 x b_dag on the (a, b) product space;
     returns a_out^dag a_out = G a^dag a x 1 + (G-1) 1 x (b b^dag)_trunc
     + sqrt(G(G-1)) (a^dag x b^dag + a x b), at most 3 nonzeros per row.
-    The gain may be any real >= 1.
+    The gain may be any real >= 1 whose G(G-1) is within the float range.
     """
     g = _check_real(gain, "gain", 1)
+    if g * (g - 1.0) > _FLOAT_MAX:  # refused before sqrt(G(G-1)) is inf
+        raise ValueError(f"G(G-1) at gain G = {g:g} is beyond the float range")
     _dense_side((space_a, space_b))  # refused before the O(side) bands are formed
     dim_b = space_b.dim
     n_a = np.arange(space_a.dim, dtype=float)[:, None]
@@ -115,9 +120,11 @@ def phase_sensitive_number_out(space_a: FockSpace, gain: float) -> OperatorMatri
 
     a_out = sqrt(G) a + sqrt(G-1) a_dag on a single mode; returns a_out^dag a_out
     = G a^dag a + (G-1) (a a^dag)_trunc + sqrt(G(G-1)) (a^dag a^dag + a a),
-    the main diagonal and the +-2 diagonals.
+    the main diagonal and the +-2 diagonals.  G(G-1) must be within the float range.
     """
     g = _check_real(gain, "gain", 1)
+    if g * (g - 1.0) > _FLOAT_MAX:  # refused before sqrt(G(G-1)) is inf
+        raise ValueError(f"G(G-1) at gain G = {g:g} is beyond the float range")
     n = np.arange(space_a.dim, dtype=float)
     # a^dag a^dag takes |n> to |n + 2> with weight sqrt((n+1)(n+2)) while n + 2 <= s
     pair = math.sqrt(g * (g - 1.0)) * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))

@@ -310,8 +310,14 @@ def default_cutoff(n_b_mean: float, n_b_var: float, gain: float, n_a_max: int) -
     ceil(n_b + G*n_a_max + 10*sqrt(var_b + 1) + 10): mean reach of the amplified
     signal plus a ten-sigma-style pad.  Always validate with check_truncation;
     heavy-tailed reservoir states may need settle_cutoff to grow it further.
+    The reals are >= 0 and n_a_max an integer >= 0; a start beyond the float range is a ValueError.
     """
-    return math.ceil(n_b_mean + gain * n_a_max + 10.0 * math.sqrt(n_b_var + 1.0) + 10.0)
+    n_b_mean, n_b_var, gain = (_check_real(v, k, 0) for k, v in (("n_b_mean", n_b_mean), ("n_b_var", n_b_var), ("gain", gain)))
+    n_a_max = _check_integer(n_a_max, "n_a_max (within the float range)", 0, _FLOAT_MAX)
+    start = n_b_mean + gain * n_a_max + 10.0 * math.sqrt(n_b_var + 1.0) + 10.0
+    if start > _FLOAT_MAX:
+        raise ValueError("the starting cutoff n_b_mean + gain * n_a_max + 10 sqrt(n_b_var + 1) + 10 is beyond the float range")
+    return math.ceil(start)
 
 
 def check_truncation(*states: DiagonalState):
@@ -326,8 +332,8 @@ def check_truncation(*states: DiagonalState):
 
 
 def settle_cutoff(build_state: Callable[[int], DiagonalState], start: int) -> int:
-    """Grow a cutoff from ``start`` until the leakage guard passes for the state."""
-    s = max(start, LEAKAGE_TOP_LEVELS)
+    """Grow a cutoff from ``start``, an integer >= 0, until the leakage guard passes for the state."""
+    s = max(_check_integer(start, "start", 0), LEAKAGE_TOP_LEVELS)
     while s <= MAX_CUTOFF:
         if leakage(build_state(s), LEAKAGE_TOP_LEVELS) <= LEAKAGE_TOL:
             return s

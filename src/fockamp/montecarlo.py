@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fock import NumberStats, _check_integer, _check_real
+from .fock import _FLOAT_MAX, DiagonalState, FockSpace, NumberStats, _check_integer, _check_real
 from .noise import gain_structure
 
 __all__ = [
@@ -122,10 +121,7 @@ class ReservoirSpec:
             return NumberStats(float(self.n), 0.0)
         if self.kind == "thermal":
             return NumberStats(self.nbar, self.nbar * (self.nbar + 1.0))
-        p = np.asarray(self.probs)
-        n = np.arange(p.size)
-        mean = float(p @ n)
-        return NumberStats(mean, float(p @ (n * n)) - mean * mean)
+        return DiagonalState(FockSpace(len(self.probs) - 1), self.probs).number_stats()
 
     @property
     def _max_draw(self) -> int:
@@ -227,7 +223,7 @@ class ScenarioSpec:
         peak = self.gain_G * self.input_n_a + self.reservoir._max_draw * sum(m * w for w, m in classes)
         if peak >= 2**63:
             raise ValueError(f"a trial can count up to {peak} excitations, beyond the int64 range")
-        if sum(m * w * w for w, m in classes) > sys.float_info.max:
+        if sum(m * w * w for w, m in classes) > _FLOAT_MAX:
             raise ValueError("the weight sum of squares behind the analytic variance is beyond the float range")
         draws = self.trials * sum(m for _, m in classes)
         if draws > MAX_DRAWS and self.reservoir.kind != "fock" and self.reservoir._max_draw > 0:  # draw-free is O(1)
@@ -331,10 +327,11 @@ def run_scenario(spec: ScenarioSpec, trial_offset: int = 0) -> SampleStats:
 
     Trial t draws from substreams keyed on (seed, trial_offset + t, draw slot),
     so a run of 2T trials decomposes exactly into two T-trial runs at offsets
-    0 and T.
+    0 and T.  Trial indices lie in [0, 2**64), so trial_offset is an integer in [0, 2**64 - trials].
     """
     if spec.trials < 2:  # refused before any sampling, as _stats_from_power_sums would refuse it after
         raise ValueError(f"a variance needs at least 2 trials, got {spec.trials}")
+    trial_offset = _check_integer(trial_offset, "trial_offset (at most 2**64 - trials)", 0, 2**64 - spec.trials)
     return _stats_from_power_sums(spec.trials, *_power_sums(spec, trial_offset))
 
 
@@ -346,5 +343,6 @@ def run_mode_sweep(spec: ScenarioSpec, trial_offset: int = 0) -> list[SampleStat
     """
     if spec.model != "Shelving" or spec.trials < 2:  # refused before any sampling
         raise ValueError(f"a mode sweep needs a Shelving spec of at least 2 trials, got {spec.model} of {spec.trials}")
+    trial_offset = _check_integer(trial_offset, "trial_offset (at most 2**64 - trials)", 0, 2**64 - spec.trials)
     sums = _power_sums(spec, trial_offset, range(1, spec.cavity_mode_count + 1))
     return [_stats_from_power_sums(spec.trials, *mode_sums) for mode_sums in sums]

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .fock import NumberStats, _check_integer, _check_real
+from .fock import _FLOAT_MAX, NumberStats, _check_integer, _check_real
 
 __all__ = [
     "MECHANISM_TAGS",
@@ -54,9 +53,7 @@ def gain_structure(G, g=None, N=None) -> tuple[int, Optional[int], Optional[int]
     if g is None and N is not None:
         raise ValueError(f"steps N = {N!r} needs a step gain g")
     if G is not None or N is None:
-        G = _check_integer(G, "gain G", 1)
-        if G > sys.float_info.max:
-            raise ValueError("total gain G is beyond the float range")
+        G = _check_integer(G, "gain G (within the float range)", 1, _FLOAT_MAX)
         if g is None:
             return G, None, None
     g = _check_integer(g, "step gain g", 2)
@@ -66,8 +63,8 @@ def gain_structure(G, g=None, N=None) -> tuple[int, Optional[int], Optional[int]
             N += 1
     else:
         N = _check_integer(N, "steps N", 1)
-        # g**N >= 2**N, and N * log2(g) bounds log2(g**N), so no power much beyond 2**1024 is formed
-        if N >= 1024 or N * math.log2(g) > 1025.0 or g**N > sys.float_info.max:
+        # N * log2(g) = log2(g**N), so no power much beyond 2**1025 is formed; N is never converted to a float
+        if N > 1025.0 / math.log2(g) or g**N > _FLOAT_MAX:
             raise ValueError(f"total gain {g}**{N} is beyond the float range")
     if G is not None and G != g**N:
         raise ValueError(f"gain G = {G} does not equal g**N = {g}**{N}")
@@ -193,10 +190,7 @@ def var_multistep_multi(total_gain: int, step_gain: int, a: NumberStats, b: Numb
 def _check_snr_inputs(n_a, dn_b) -> tuple[int, float]:
     """The signal and noise scale of ``snr`` as (int, float): n_a an integer >= 1 within the float range,
     dn_b a real >= 0."""
-    n_a = _check_integer(n_a, "n_a", 1)
-    if n_a > sys.float_info.max:
-        raise ValueError("n_a is beyond the float range")
-    return n_a, _check_real(dn_b, "dn_b", 0)
+    return _check_integer(n_a, "n_a (within the float range)", 1, _FLOAT_MAX), _check_real(dn_b, "dn_b", 0)
 
 
 def snr(mechanism: Mechanism, n_a: int, dn_b: float) -> float:

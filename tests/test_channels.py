@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,25 @@ class TestNonlinearOutput:
         with pytest.raises(ValueError):
             nonlinear_bout(sb, sa, 2.5, 0.0)
         nonlinear_bout(sb, sa, 2.0, 0.0)  # integer-valued float allowed
+
+    @pytest.mark.parametrize("gain", [2**62, 2**63 + 5, 2**70])  # past int64 in n_b + G n_a, or in G itself
+    def test_huge_integer_gain_gives_finite_bands(self, gain):
+        bout = nonlinear_bout(FockSpace(1), FockSpace(2), gain)
+        assert all(np.isfinite(values).all() for values in bout.bands.values())
+        assert np.max(np.abs(bout.mat)) == math.sqrt(float(1 + 2 * gain))  # the top root, sqrt(s_b + G s_a)
+
+    def test_gain_whose_root_argument_is_beyond_floats_is_refused(self):
+        big = int(sys.float_info.max)
+        assert np.max(np.abs(nonlinear_bout(FockSpace(0), FockSpace(1), big).mat)) == math.sqrt(sys.float_info.max)
+        with pytest.raises(ValueError, match="float range"):
+            nonlinear_bout(FockSpace(1), FockSpace(2), big)  # 1 + 2G
+
+    # G s_a <= 2**53: the float sum is exact, so each root is the int sum rounded once, as in the int64 oracle
+    @pytest.mark.parametrize("s_b, s_a, gain", [(5, 1, 2**53), (3, 2, 2**52), (4, 3, 3**32), (2, 8, 2**50 - 3), (7, 4, 2**51 - 1)])
+    def test_large_gain_roots_are_bitwise_the_int64_oracle(self, s_b, s_a, gain):
+        sb, sa = FockSpace(s_b), FockSpace(s_a)
+        for phase in (0.0, 0.7):
+            assert np.array_equal(nonlinear_bout(sb, sa, gain, phase).mat, dense_oracle.nonlinear_bout(sb, sa, gain, phase).mat)
 
     def test_moments_phase_invariant(self):
         sb, sa = FockSpace(30), FockSpace(3)
@@ -210,6 +230,16 @@ class TestLinearAmplifiers:
     def test_phase_sensitive_rejects_gain_below_one(self):
         with pytest.raises(ValueError):
             phase_sensitive_number_out(FockSpace(3), 0.5)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda g: caves_number_out(FockSpace(2), FockSpace(2), g), lambda g: phase_sensitive_number_out(FockSpace(3), g)],
+        ids=["caves", "phase-sensitive"],
+    )
+    def test_gain_whose_pair_weight_is_beyond_floats_is_refused(self, build):
+        with pytest.raises(ValueError, match="float range"):
+            build(1e200)  # sqrt(G(G-1)) would be inf
+        assert all(np.isfinite(values).all() for values in build(1e154).bands.values())
 
     @pytest.mark.parametrize("gain", [1.0, 1.5, 2.0, 7.25, 100.0])
     def test_coefficient_identity(self, gain):

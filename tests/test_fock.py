@@ -388,3 +388,25 @@ class TestCutoffPolicy:
         # thermal(1e5) leaks past 1e-10 until s is about 2.3e6
         with pytest.raises(TruncationError, match="no adequate cutoff"):
             settle_cutoff(lambda k: thermal_state(FockSpace(k), 1e5), 3)
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ((math.nan, 0.0, 1.0, 1), "n_b_mean"),
+            ((0.0, -1.0, 1.0, 1), "n_b_var"),  # sqrt of a negative
+            ((0.0, 0.0, math.inf, 1), "gain"),
+            (("x", 0.0, 1.0, 1), "n_b_mean"),
+            ((0.0, 0.0, 1.0, 1.5), "n_a_max"),
+            ((0.0, 0.0, 1.0, -1), "n_a_max"),
+            ((0.0, 0.0, 1.0, 10**400), "n_a_max"),  # no float holds it
+            ((1e308, 0.0, 1e308, 10), "starting cutoff"),  # the sum is inf, whose ceil overflows
+        ],
+    )
+    def test_default_cutoff_refuses_each_bad_scalar(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            default_cutoff(*args)
+
+    @pytest.mark.parametrize("start", [math.nan, "x", -1, 2.5, True])
+    def test_settle_cutoff_refuses_a_start_that_is_not_an_integer_at_least_0(self, start):
+        with pytest.raises(ValueError, match="start"):
+            settle_cutoff(lambda k: thermal_state(FockSpace(k), 1.0), start)

@@ -267,3 +267,23 @@ def test_deep_cascade_is_refused_before_its_gain_is_formed():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# (2**1000)**(10**6) = 2**(10**9) would take 125 MB, although N alone is small; no float holds N = 10**400
+@pytest.mark.parametrize("cascade", [(2**1000, 10**6), (2, 10**400)], ids=["2^1000^1e6", "2^1e400"])
+def test_cascade_of_a_large_step_gain_or_step_count_is_refused_before_its_gain_is_formed(cascade):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="float range"):
+            gain_structure(None, *cascade)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_n_a_up_to_the_float_maximum_is_accepted():
+    big = int(sys.float_info.max)
+    assert snr(Mechanism.single_mode(1), big, 1e300) == sys.float_info.max / 1e300
+    with pytest.raises(ValueError, match="float range"):
+        snr(Mechanism.single_mode(1), big + 1, 1e300)

@@ -622,6 +622,27 @@ class TestExactEstimators:
         with pytest.raises(ValueError, match="a mode sweep needs a Shelving spec of at least 2 trials"):
             run_mode_sweep(spec)
 
+    # trial indices lie in [0, 2**64): with 10 trials, offset 2**64 - 3 would rerun trials 0..6 of offset 0
+    @pytest.mark.parametrize("offset", [-1, 2**64, 2**64 - 3, 2**64 - 9, 2.5, "3", True, math.nan])
+    def test_trial_offset_outside_the_counter_range_is_refused_before_sampling(self, offset, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a refused trial offset draws no uniforms")
+
+        monkeypatch.setattr("fockamp.montecarlo._uniforms", refuse)
+        reservoir = ReservoirSpec.thermal(1.0)
+        single = ScenarioSpec(model="SingleMode", input_n_a=1, reservoir=reservoir, trials=10, seed=5, gain_G=2)
+        with pytest.raises(ValueError, match="trial_offset"):
+            run_scenario(single, offset)
+        with pytest.raises(ValueError, match="trial_offset"):
+            run_mode_sweep(replace(single, model="Shelving", gain_G=3, cavity_mode_count=3), offset)
+
+    def test_the_last_trial_offset_runs_up_to_trial_two_to_the_64_minus_one(self):
+        single = ScenarioSpec(model="SingleMode", input_n_a=1, reservoir=ReservoirSpec.thermal(1.0), trials=10, seed=5, gain_G=2)
+        offset = 2**64 - 10
+        assert run_scenario(single, offset) == _stats_from_power_sums(10, *brute_force_power_sums(single, offset))
+        shelving = replace(single, model="Shelving", gain_G=3, cavity_mode_count=3)
+        assert run_mode_sweep(shelving, offset)[-1] == _stats_from_power_sums(10, *brute_force_power_sums(shelving, offset))
+
     def test_signal_shift_leaves_variance_bitwise_unchanged(self):
         def run(gain, n_a):
             reservoir = ReservoirSpec.thermal(1.0)

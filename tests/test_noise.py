@@ -188,6 +188,7 @@ class TestSnrAgainstExactOracle:
     @example(cascade=(3, 646))
     @example(cascade=(2, 1023))
     @example(cascade=(2**600, 1))  # a one-step cascade whose g^2 no float holds
+    @example(cascade=(int(sys.float_info.max), 1))  # the largest cascade: g**N is the float maximum itself
     def test_cascades(self, cascade):
         g, n = cascade
         big_g = g**n
@@ -211,6 +212,20 @@ class TestSnrAgainstExactOracle:
         value = snr(Mechanism.phase_sensitive(gain), 1, 1.0)
         assert math.isfinite(value)
         assert value == pytest.approx(_exact_root((2 * big_g - 1) ** 2 / (2 * big_g * (big_g - 1))), rel=1e-12)
+
+
+    @pytest.mark.parametrize("dn_b", [0.5, 3.0, 0.1])
+    def test_g_modes_and_cascades_at_n_a_and_dn_b_other_than_1(self, dn_b):
+        n_a, g, n = 3, 2, 3
+        big_g = g**n
+        exact = {
+            Mechanism.g_modes(big_g): Fraction(big_g),
+            Mechanism.multistep_single(g, n): Fraction((g * g - 1) * big_g * big_g, big_g * big_g - 1),
+            Mechanism.multistep_multi(g, n): Fraction(big_g * (g - 1), big_g - 1),
+        }
+        for mech, square in exact.items():  # each SNR squared is the n_a = dn_b = 1 square times (n_a / dn_b)^2
+            expected = _exact_root(square * n_a**2 / Fraction(dn_b) ** 2)
+            assert snr(mech, n_a, dn_b) == pytest.approx(expected, rel=1e-12), mech.tag
 
 
 class TestOrderings:
