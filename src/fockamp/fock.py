@@ -53,6 +53,11 @@ class TruncationError(RuntimeError):
     """A state carries non-negligible weight in the top levels of its space."""
 
 
+def _shown(value) -> str:
+    """``repr(value)``, but an int beyond the float range by its bit length: Python prints at most 4300 digits."""
+    return f"an int of {value.bit_length()} bits" if isinstance(value, int) and value.bit_length() > 1024 else repr(value)
+
+
 def _check_integer(value, name: str, minimum: Optional[int] = None, maximum: Optional[int] = None) -> int:
     """The one integer check: an int, or a real with an integral value (2.0 reads as 2).
 
@@ -60,11 +65,11 @@ def _check_integer(value, name: str, minimum: Optional[int] = None, maximum: Opt
     """
     integral = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
     if isinstance(value, bool) or not integral:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
     if maximum is not None and value > maximum:
-        raise ValueError(f"{name} must be an integer <= {maximum}, got {value!r}")
+        raise ValueError(f"{name} must be an integer <= {maximum}, got {_shown(value)}")
     return int(value)
 
 
@@ -75,9 +80,9 @@ def _check_real(value, name: str, minimum: Optional[float] = None, strict: bool 
     """
     real = type(value) is float or (isinstance(value, (int, numbers.Real)) and not isinstance(value, bool))
     if not real or not abs(value) <= _FLOAT_MAX:
-        raise ValueError(f"{name} must be a real number within the float range, got {value!r}")
+        raise ValueError(f"{name} must be a real number within the float range, got {_shown(value)}")
     if minimum is not None and (value <= minimum if strict else value < minimum):
-        raise ValueError(f"{name} must be a real number {'>' if strict else '>='} {minimum:g}, got {value!r}")
+        raise ValueError(f"{name} must be a real number {'>' if strict else '>='} {minimum:g}, got {_shown(value)}")
     return float(value)
 
 

@@ -96,9 +96,8 @@ class ReservoirSpec:
             if self.nbar / (self.nbar + 1.0) == 1.0:
                 raise ValueError(f"thermal mean {self.nbar} too large: q = nbar/(nbar+1) rounds to 1")
         elif self.kind == "empirical":
-            probs = tuple(_check_real(p, "empirical probability", 0) for p in self.probs)  # () sums to 0
-            if abs(sum(probs) - 1.0) > 1e-12:
-                raise ValueError(f"empirical probabilities sum to {sum(probs)}, expected 1 within 1e-12")
+            probs = tuple(_check_real(p, "empirical probability", 0) for p in self.probs)
+            DiagonalState(FockSpace(max(len(probs) - 1, 0)), probs)  # the one sum check, which .stats meets again
             object.__setattr__(self, "probs", probs)
         else:
             raise ValueError(f"unknown reservoir kind {self.kind!r}")
@@ -274,6 +273,8 @@ def _power_sums(spec: ScenarioSpec, trial_offset: int, readouts: Optional[Sequen
     Given ``readouts``, ascending slot counts that end at the spec's own, it returns one such 4-tuple per readout k:
     x read after its first k draw slots, which is the k-slot run's x, as slot j is keyed on (seed, trial, j) alone.
     """
+    # trial indices lie in [0, 2**64); a draw-free spec of more trials runs at offset 0 alone
+    trial_offset = _check_integer(trial_offset, "trial_offset (at most 2**64 - trials)", 0, max(2**64 - spec.trials, 0))
     classes = _weight_classes(spec)
     signal = spec.gain_G * spec.input_n_a
     points = [sum(m for _, m in classes)] if readouts is None else list(readouts)
@@ -331,7 +332,6 @@ def run_scenario(spec: ScenarioSpec, trial_offset: int = 0) -> SampleStats:
     """
     if spec.trials < 2:  # refused before any sampling, as _stats_from_power_sums would refuse it after
         raise ValueError(f"a variance needs at least 2 trials, got {spec.trials}")
-    trial_offset = _check_integer(trial_offset, "trial_offset (at most 2**64 - trials)", 0, 2**64 - spec.trials)
     return _stats_from_power_sums(spec.trials, *_power_sums(spec, trial_offset))
 
 
@@ -343,6 +343,5 @@ def run_mode_sweep(spec: ScenarioSpec, trial_offset: int = 0) -> list[SampleStat
     """
     if spec.model != "Shelving" or spec.trials < 2:  # refused before any sampling
         raise ValueError(f"a mode sweep needs a Shelving spec of at least 2 trials, got {spec.model} of {spec.trials}")
-    trial_offset = _check_integer(trial_offset, "trial_offset (at most 2**64 - trials)", 0, 2**64 - spec.trials)
     sums = _power_sums(spec, trial_offset, range(1, spec.cavity_mode_count + 1))
     return [_stats_from_power_sums(spec.trials, *mode_sums) for mode_sums in sums]

@@ -287,3 +287,19 @@ def test_n_a_up_to_the_float_maximum_is_accepted():
     assert snr(Mechanism.single_mode(1), big, 1e300) == sys.float_info.max / 1e300
     with pytest.raises(ValueError, match="float range"):
         snr(Mechanism.single_mode(1), big + 1, 1e300)
+
+
+@pytest.mark.parametrize(
+    "refuse, name",
+    [
+        (lambda: FockSpace(-(10**5000)), "cutoff"),
+        (lambda: gain_structure(10**5000), "gain G"),
+        (lambda: snr(Mechanism.single_mode(1), 10**5000, 1.0), "n_a"),
+        (lambda: ReservoirSpec.thermal(10**5000), "thermal mean"),
+    ],
+    ids=["FockSpace", "gain_structure", "snr", "thermal"],
+)
+def test_an_int_too_long_to_print_is_named_by_its_bit_length(refuse, name):
+    # Python refuses to print an int of more than 4300 digits; 10**5000 has 16610 bits
+    with pytest.raises(ValueError, match=f"^{name} .* got an int of 16610 bits$"):
+        refuse()

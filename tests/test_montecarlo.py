@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockamp import (
+    DiagonalState,
     FockSpace,
     NumberStats,
     ReservoirSpec,
@@ -158,6 +159,17 @@ class TestReservoirSpec:
             ReservoirSpec.empirical([1.2, -0.2])
         with pytest.raises(ValueError):
             ReservoirSpec("weird")
+
+    def test_a_law_at_the_sum_tolerance_edge_is_judged_once(self):
+        # 10**5 masses of 4e-17 vanish one by one into a sequential sum, but not into numpy's pairwise one
+        with pytest.raises(ValueError, match="sum to"):
+            ReservoirSpec.empirical([1 - 0.5e-12] + [4e-17] * 100_000)
+        spec = ReservoirSpec.empirical([1 - 0.5e-12] + [4e-17] * 10_000)
+        assert spec.stats == DiagonalState(FockSpace(10_000), spec.probs).number_stats()
+        scenario = ScenarioSpec(model="SingleMode", input_n_a=1, reservoir=spec, trials=10, seed=1, gain_G=2)
+        assert math.isfinite(analytic_variance(scenario))
+        with pytest.raises(ValueError, match="length"):
+            ReservoirSpec.empirical([])
 
     @pytest.mark.parametrize("nbar", [1e17, 1e19, 1e300])
     def test_thermal_mean_whose_q_rounds_to_one_is_refused(self, nbar):
@@ -642,6 +654,15 @@ class TestExactEstimators:
         assert run_scenario(single, offset) == _stats_from_power_sums(10, *brute_force_power_sums(single, offset))
         shelving = replace(single, model="Shelving", gain_G=3, cavity_mode_count=3)
         assert run_mode_sweep(shelving, offset)[-1] == _stats_from_power_sums(10, *brute_force_power_sums(shelving, offset))
+
+    def test_a_draw_free_spec_of_more_than_two_to_the_64_trials_runs_at_offset_0(self):
+        single = ScenarioSpec(model="SingleMode", input_n_a=1, reservoir=ReservoirSpec.fock(2), trials=2**70, seed=5, gain_G=2)
+        assert run_scenario(single) == SampleStats(2**70, 4.0, 0.0, 0.0)
+        shelving = replace(single, model="Shelving", reservoir=ReservoirSpec.thermal(0), gain_G=3, cavity_mode_count=3)
+        assert run_mode_sweep(shelving)[-1] == SampleStats(2**70, 3.0, 0.0, 0.0)
+        for offset in (1, -1, "0"):
+            with pytest.raises(ValueError, match="trial_offset"):
+                run_scenario(single, offset)
 
     def test_signal_shift_leaves_variance_bitwise_unchanged(self):
         def run(gain, n_a):

@@ -1,14 +1,15 @@
 """Operator mutation scan: does tier-1 notice each swapped operator in a module?
 
-    python3 tools/mutants.py src/fockamp/noise.py [--workers 2] [--timeout 120]
+    python3 tools/mutants.py src/fockamp/noise.py
 
 Each mutant swaps one comparison, arithmetic or boolean operator of the module
 (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``+`` and ``-``, ``*``
 and ``/``, ``//`` to ``/``, ``%`` and ``**`` to ``*``, ``and`` and ``or``, and
 so on), writes the module back with ``ast.unparse`` into a private copy of the
 repository, and runs tier-1 there with ``-x``.  A mutant whose run fails or
-exceeds the timeout is killed (a swap can make a loop endless); one whose run
-passes survives and is reported.  The two slow tests and the failure kept by
+takes over 4x the unmutated run is killed (a swap can make a loop endless); one
+whose run passes survives and is reported.  Up to 4 mutants run at once, one
+per CPU, each in its own copy.  The two slow tests and the failure kept by
 design are deselected.  A site is its position in ``ast.walk`` order, plus the
 operator's index within a chained comparison: nested operators can share a line
 and column, but never that position.  Standard library only; exit code 1 when
@@ -97,29 +98,29 @@ def run_tier1(copy: Path, timeout: float) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("module", help="path of the module to mutate, relative to the repository root")
-    parser.add_argument("--workers", type=int, default=2, help="mutants run at once, each in its own copy")
-    parser.add_argument("--timeout", type=float, default=None, help="seconds per mutant (default: 4x the clean run)")
-    args = parser.parse_args(argv)
-    if not 1 <= args.workers <= 8:
-        parser.error("--workers must be in [1, 8]")
-    rel = Path(args.module)
-    source = (ROOT / rel).read_text()
+    parser.add_argument("module", help="path of a module under src/, relative to the repository root")
+    path = (ROOT / parser.parse_args(argv).module).resolve()
+    # the mutants are written into the copies only: a path outside src/ would name a file that no copy holds
+    if not (path.is_relative_to(ROOT / "src") and path.suffix == ".py" and path.is_file()):
+        parser.error(f"the module must be a .py file under {ROOT / 'src'}, got {path}")
+    rel = path.relative_to(ROOT)
+    source = path.read_text()
+    workers = min(os.cpu_count() or 1, 4)  # each worker holds a whole tier-1 session in memory
     found = sites(source)
     scratch = Path(tempfile.mkdtemp(prefix="mutants-"))
     try:
         copies = []
-        for w in range(args.workers):
+        for w in range(workers):
             copy = scratch / f"w{w}"
-            shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
-            shutil.copytree(ROOT / "tests", copy / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+            for tree in ("src", "tests", "tools"):  # the tests load this tool too
+                shutil.copytree(ROOT / tree, copy / tree, ignore=shutil.ignore_patterns("__pycache__"))
             shutil.copy(ROOT / "pyproject.toml", copy)
             copies.append(copy)
         start = time.perf_counter()
         if run_tier1(copies[0], 3600) != "passed":
             print("the unmutated tier-1 run does not pass; nothing to measure", file=sys.stderr)
             return 2
-        timeout = args.timeout or 4 * (time.perf_counter() - start)
+        timeout = 4 * (time.perf_counter() - start)
         print(f"{rel}: {len(found)} sites; clean run {time.perf_counter() - start:.1f} s, timeout {timeout:.0f} s", flush=True)
         free, lock = list(copies), threading.Lock()
 
@@ -137,7 +138,7 @@ def main(argv=None) -> int:
             print(f"  line {line}: {before} -> {after} (site {index}.{op_index}): {verdict}", flush=True)
             return site, verdict
 
-        with ThreadPoolExecutor(args.workers) as pool:
+        with ThreadPoolExecutor(workers) as pool:
             results = list(pool.map(one, found))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
