@@ -93,6 +93,14 @@ def _lowered_fill(space: FockSpace) -> np.ndarray:
     return np.where(n < space.cutoff, n + 1.0, 0.0)
 
 
+def _linear_gain(gain: float) -> tuple[float, float]:
+    """(G, sqrt(G(G-1))) of a linear amplifier: G a real >= 1 whose G(G-1) is within the float range."""
+    g = _check_real(gain, "gain", 1)
+    if g * (g - 1.0) > _FLOAT_MAX:  # refused before sqrt(G(G-1)) is inf
+        raise ValueError(f"G(G-1) at gain G = {g:g} is beyond the float range")
+    return g, math.sqrt(g * (g - 1.0))
+
+
 def caves_number_out(space_a: FockSpace, space_b: FockSpace, gain: float) -> OperatorMatrix:
     """Output-number operator of the phase-insensitive linear amplifier.
 
@@ -101,16 +109,14 @@ def caves_number_out(space_a: FockSpace, space_b: FockSpace, gain: float) -> Ope
     + sqrt(G(G-1)) (a^dag x b^dag + a x b), at most 3 nonzeros per row.
     The gain may be any real >= 1 whose G(G-1) is within the float range.
     """
-    g = _check_real(gain, "gain", 1)
-    if g * (g - 1.0) > _FLOAT_MAX:  # refused before sqrt(G(G-1)) is inf
-        raise ValueError(f"G(G-1) at gain G = {g:g} is beyond the float range")
+    g, root = _linear_gain(gain)
     _dense_side((space_a, space_b))  # refused before the O(side) bands are formed
     dim_b = space_b.dim
     n_a = np.arange(space_a.dim, dtype=float)[:, None]
     lowered = _lowered_fill(space_b)[None, :]
     # a^dag x b^dag takes column (n_a, n_b) to row (n_a + 1, n_b + 1), dim_b + 1 further on;
     # the entries with n_b = s_b vanish because b^dag is truncated there
-    pair = (math.sqrt(g * (g - 1.0)) * np.sqrt((n_a + 1.0) * lowered)).reshape(-1)[: -(dim_b + 1)]
+    pair = (root * np.sqrt((n_a + 1.0) * lowered)).reshape(-1)[: -(dim_b + 1)]
     bands = {0: (g * n_a + (g - 1.0) * lowered).reshape(-1), -(dim_b + 1): pair, dim_b + 1: pair}
     return OperatorMatrix.from_bands((space_a, space_b), bands)
 
@@ -122,12 +128,10 @@ def phase_sensitive_number_out(space_a: FockSpace, gain: float) -> OperatorMatri
     = G a^dag a + (G-1) (a a^dag)_trunc + sqrt(G(G-1)) (a^dag a^dag + a a),
     the main diagonal and the +-2 diagonals.  G(G-1) must be within the float range.
     """
-    g = _check_real(gain, "gain", 1)
-    if g * (g - 1.0) > _FLOAT_MAX:  # refused before sqrt(G(G-1)) is inf
-        raise ValueError(f"G(G-1) at gain G = {g:g} is beyond the float range")
+    g, root = _linear_gain(gain)
     n = np.arange(space_a.dim, dtype=float)
     # a^dag a^dag takes |n> to |n + 2> with weight sqrt((n+1)(n+2)) while n + 2 <= s
-    pair = math.sqrt(g * (g - 1.0)) * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+    pair = root * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
     bands = {0: g * n + (g - 1.0) * _lowered_fill(space_a), -2: pair, 2: pair}
     return OperatorMatrix.from_bands((space_a,), bands)
 

@@ -76,6 +76,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
+def _snr(signal, variance: float) -> float:  # +inf for a noiseless output
+    return signal / math.sqrt(variance) if variance > 0 else math.inf
+
+
 # --------------------------------------------------------------------- verify
 
 
@@ -96,14 +100,7 @@ def _parse_verify(cfg: dict) -> Callable[[], int]:
 
 # ------------------------------------------------------------------ snr-table
 
-_DEFAULT_MECHANISMS = [
-    {"tag": "PhaseInsensitive"},
-    {"tag": "PhaseSensitive"},
-    {"tag": "SingleMode"},
-    {"tag": "GModes"},
-    {"tag": "MultiStepSingleMode", "g": 2},
-    {"tag": "MultiStepMultiMode", "g": 2},
-]
+_DEFAULT_MECHANISMS = [{"tag": tag, "g": 2} if tag in noise._MULTISTEP else {"tag": tag} for tag in noise.MECHANISM_TAGS]
 
 
 def _parse_snr_table(cfg: dict) -> Callable[[], int]:
@@ -238,7 +235,7 @@ def _parse_filter_scan(cfg: dict) -> Callable[[], int]:
         for tp in pairs:
             out = filters.filtered_amplified_stats(tp, a, vacuum, gain, b_env)
             signal = out.mean - b_env.mean
-            snr_value = signal / math.sqrt(out.variance) if out.variance > 0 else math.inf
+            snr_value = _snr(signal, out.variance)
             rows.append([tp.omega, abs(tp.T) ** 2, abs(tp.R) ** 2, nbar_amp, snr_value])
         _write_csv(path, ["omega", "abs_T2", "abs_R2", "nbar_at_omega_amp", "snr_end_to_end"], rows)
         print(f"wrote {len(rows)} scan rows to {path}")
@@ -267,9 +264,9 @@ def _parse_shelving_demo(cfg: dict) -> Callable[[], int]:
         for modes in range(gain, 0, -1):
             stats = sweep[modes - 1]
             # an n_a = 0 run would reuse these draws, so the measured signal is exactly G * n_a
-            snr_mc = gain * n_a / math.sqrt(stats.variance) if stats.variance > 0 else math.inf
+            snr_mc = _snr(gain * n_a, stats.variance)
             variance = analytic_variance(replace(spec, cavity_mode_count=modes))
-            snr_analytic = gain * n_a / math.sqrt(variance) if variance > 0 else math.inf
+            snr_analytic = _snr(gain * n_a, variance)
             rows.append([modes, gain, n_a, reservoir.label, trials, seed, stats.mean, stats.variance, snr_mc, snr_analytic])
         header = ["cavity_modes", "G", "n_a", "reservoir", "trials", "seed", "mean", "variance", "snr_mc", "snr_analytic"]
         _write_csv(path, header, rows)

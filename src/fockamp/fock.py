@@ -321,7 +321,8 @@ def default_cutoff(n_b_mean: float, n_b_var: float, gain: float, n_a_max: int) -
     n_a_max = _check_integer(n_a_max, "n_a_max (within the float range)", 0, _FLOAT_MAX)
     start = n_b_mean + gain * n_a_max + 10.0 * math.sqrt(n_b_var + 1.0) + 10.0
     if start > _FLOAT_MAX:
-        raise ValueError("the starting cutoff n_b_mean + gain * n_a_max + 10 sqrt(n_b_var + 1) + 10 is beyond the float range")
+        raise ValueError(f"the starting cutoff n_b_mean + gain * n_a_max + 10 sqrt(n_b_var + 1) + 10 at gain = {gain:g}"
+                         f" and n_a_max = {n_a_max} is beyond the float range")
     return math.ceil(start)
 
 

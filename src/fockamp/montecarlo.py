@@ -52,8 +52,7 @@ MAX_DRAWS = 1 << 36  # most reservoir draws (trials * draw slots) one run may ta
 
 
 def _mix_u64(z: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """64-bit finalizer (SplitMix64 style), wrapping modulo 2**64, in place on the array ``z``, which it returns."""
-    scratch = np.empty_like(z) if scratch is None else scratch  # the shifted copy, z's shape
+    """SplitMix64-style finalizer mod 2**64, in place on ``z``, which it returns; shifts go to ``scratch`` or fresh arrays."""
     for bits, factor in ((30, _MIX1), (27, _MIX2)):
         z ^= np.right_shift(z, np.uint64(bits), out=scratch)
         z *= np.uint64(factor)

@@ -30,16 +30,9 @@ __all__ = [
     "snr",
 ]
 
-MECHANISM_TAGS = (
-    "PhaseInsensitive",
-    "PhaseSensitive",
-    "SingleMode",
-    "GModes",
-    "MultiStepSingleMode",
-    "MultiStepMultiMode",
-)
 _LINEAR = ("PhaseInsensitive", "PhaseSensitive")
 _MULTISTEP = ("MultiStepSingleMode", "MultiStepMultiMode")
+MECHANISM_TAGS = _LINEAR + ("SingleMode", "GModes") + _MULTISTEP
 
 
 def gain_structure(G, g=None, N=None) -> tuple[int, Optional[int], Optional[int]]:

@@ -253,7 +253,7 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
 
     @check("phase-sensitive variance matches the matrix oracle")
     def _():
-        sa = _thermal_space(0.6, 2.0 * gain, 1, cfg.cutoff)
+        sa = _thermal_space(0.6, gain, 2, cfg.cutoff)  # a reach of 2G, so a refusal names the gain as configured
         rho_a = thermal_state(sa, 0.6)
         check_truncation(rho_a)
         mc = moments(rho_a, channels.phase_sensitive_number_out(sa, gain))

@@ -240,6 +240,12 @@ class TestLinearAmplifiers:
         with pytest.raises(ValueError, match="float range"):
             build(1e200)  # sqrt(G(G-1)) would be inf
         assert all(np.isfinite(values).all() for values in build(1e154).bands.values())
+        # the edge: the largest float G whose G(G-1) is finite, then the next float, where it is inf
+        edge, beyond = 1.3407807929942596e154, 1.3407807929942597e154
+        assert math.nextafter(edge, math.inf) == beyond
+        assert all(np.isfinite(values).all() for values in build(edge).bands.values())
+        with pytest.raises(ValueError, match=r"G\(G-1\) at gain G = 1.34078e\+154 is beyond the float range"):
+            build(beyond)
 
     @pytest.mark.parametrize("gain", [1.0, 1.5, 2.0, 7.25, 100.0])
     def test_coefficient_identity(self, gain):
@@ -300,7 +306,7 @@ class TestIdealMap:
         assert (rec.M_out, rec.N_out, rec.absorber_energy) == (7, 4, 0.0)
 
     def test_supply_constraint(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"M = 5 < G\*n = 6$"):
             ideal_schrodinger_map(2, 5, 0, 3)
 
     def test_rejects_negative_and_fractional_gain(self):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fockamp import Mechanism, snr
 from fockamp.cli import main
+from fockamp.verify import VerifyConfig, run_checks
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +46,13 @@ class TestVerifyCommand:
         failed = [l for l in out.splitlines() if l.startswith("FAIL")]
         assert len(failed) == 3
         assert all("exceeds MAX_DENSE_SIDE = 4096" in l for l in failed)
+
+    def test_huge_gain_is_named_as_configured(self):
+        # the phase-sensitive check asks default_cutoff for n_a_max = 2 at the gain itself, never a doubled inf gain
+        (result,) = [r for r in run_checks(VerifyConfig(gain=1e308)) if r.name.startswith("phase-sensitive variance")]
+        assert not result.passed
+        assert "gain = 1e+308 and n_a_max = 2" in result.detail
+        assert "got inf" not in result.detail
 
     def test_fixed_phase_equals_seeded_phase(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--fixed-phase", "0", "--seed", "7")

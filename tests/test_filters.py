@@ -222,8 +222,8 @@ class TestTransferTable:
 
     def test_rejects_lossy_row_with_its_number(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text(self.HEADER + "1.0,1.0,0.0,0.0,0.0\n2.0,0.8,0.0,0.1,0.0\n")
-        with pytest.raises(ValueError, match="row 3"):
+        path.write_text(self.HEADER + "1.0,1.0,0.0,0.0,0.0\n2.0,0.8,0.0,0.1,0.0\n")  # |T|^2+|R|^2 = 0.65
+        with pytest.raises(ValueError, match=r"^row 3: \|T\|\^2\+\|R\|\^2 off unity by 3.500e-01 \(limit 1e-9\)$"):
             read_transfer_table(path)
 
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -289,6 +290,7 @@ class TestStates:
             DiagonalState(FockSpace(3), np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="nonnegative"):
             NumberStats(1.0, -0.5)
+        assert NumberStats(1.0, -1e-9).variance == 0.0  # a rounding-size negative variance, down to -1e-9, reads as 0
 
 
 class TestMoments:
@@ -360,6 +362,8 @@ class TestCutoffPolicy:
     def test_default_cutoff_formula(self):
         assert default_cutoff(0.0, 0.0, 1.0, 0) == 20
         assert default_cutoff(1.0, 2.0, 3.0, 2) == math.ceil(1 + 6 + 10 * math.sqrt(3) + 10)
+        # a start that rounds to the float maximum is still within the float range
+        assert default_cutoff(sys.float_info.max, 0.0, 0.0, 0) == int(sys.float_info.max)
 
     def test_guard_raises_on_inadequate_cutoff(self):
         with pytest.raises(TruncationError):

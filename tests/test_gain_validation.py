@@ -303,3 +303,8 @@ def test_an_int_too_long_to_print_is_named_by_its_bit_length(refuse, name):
     # Python refuses to print an int of more than 4300 digits; 10**5000 has 16610 bits
     with pytest.raises(ValueError, match=f"^{name} .* got an int of 16610 bits$"):
         refuse()
+
+
+def test_an_int_of_1024_bits_is_printed_in_full():
+    with pytest.raises(ValueError, match=f"^cutoff .* got {-(2**1023)}$"):  # 1024 bits, as many as a float's range holds
+        FockSpace(-(2**1023))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -203,6 +204,11 @@ class TestReservoirSpec:
         assert set(np.unique(draws)) == {0, 2}
         assert abs((draws == 0).mean() - 0.5) <= 0.005
 
+    def test_empirical_uniform_past_the_last_cdf_value_draws_the_top_level(self):
+        # the law sums to just under 1, so the largest uniform lies beyond its cdf: clamped to level 1, not 2
+        spec = ReservoirSpec.empirical([0.5, 0.5 - 1e-13])
+        assert spec._draw_block(np.array([1.0 - 2.0**-53])).tolist() == [1]
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -337,6 +343,32 @@ class TestScenarioValidation:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_weight_sum_of_squares_bound_is_the_float_maximum(self):
+        def spec(budget):  # one class of G * budget draw slots of weight 1; a Fock reservoir draws nothing
+            return ScenarioSpec(
+                model="Multiplexed",
+                input_n_a=0,
+                reservoir=ReservoirSpec.fock(0),
+                trials=2,
+                seed=1,
+                gain_G=int(sys.float_info.max),
+                mode_budget=budget,
+            )
+
+        spec(1)  # the sum is exactly the float maximum
+        with pytest.raises(ValueError, match="weight sum of squares"):
+            spec(2)
+
+    def test_draw_bound_admits_exactly_max_draws(self):
+        def spec(trials):
+            return ScenarioSpec(
+                model="SingleMode", input_n_a=0, reservoir=ReservoirSpec.thermal(1.0), trials=trials, seed=1, gain_G=1
+            )
+
+        spec(MAX_DRAWS)
+        with pytest.raises(ValueError, match="MAX_DRAWS"):
+            spec(MAX_DRAWS + 1)
 
     @pytest.mark.parametrize("nbar", [1e-300, 0.2, 0.5, 3.7, 1e3, 1e9, 1e15])
     def test_max_draw_is_the_largest_thermal_draw(self, nbar):
@@ -610,6 +642,7 @@ class TestExactEstimators:
             SampleStats(0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="variance must be nonnegative"):
             SampleStats(2, 0.0, -1.0, 0.0)
+        assert SampleStats(1, 0.0, 0.0, 0.0).count == 1  # the stats of a 1-trial slice of a split run
 
     def test_one_trial_run_is_refused(self, monkeypatch):
         def refuse(*args):
