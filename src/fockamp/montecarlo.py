@@ -44,38 +44,44 @@ __all__ = [
 MC_MODELS = ("SingleMode", "GModes", "MultiStepSingle", "MultiStepMulti", "Multiplexed", "Shelving")
 
 _MASK = (1 << 64) - 1
-_PHI = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_BLOCK = 1 << 17
+_PHI, _MIX1, _MIX2 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_U1, _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (1, 11, 27, 30, 31))  # numpy scalars made once, not per call
+_BLOCK = 1 << 17  # trials per fold
+_TILE = 1 << 15  # uniforms per generator tile, sized for a per-core L2 cache with its scratch and draws
 MAX_DRAWS = 1 << 36  # most reservoir draws (trials * draw slots) one run may take: ~40 min at 3e7 draws/s
 
 
 def _mix_u64(z: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """SplitMix64-style finalizer mod 2**64, in place on ``z``, which it returns; shifts go to ``scratch`` or fresh arrays."""
-    for bits, factor in ((30, _MIX1), (27, _MIX2)):
-        z ^= np.right_shift(z, np.uint64(bits), out=scratch)
-        z *= np.uint64(factor)
-    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    for bits, factor in ((_U30, _MIX1), (_U27, _MIX2)):
+        z ^= np.right_shift(z, bits, out=scratch)
+        z *= factor
+    z ^= np.right_shift(z, _U31, out=scratch)
     return z
 
 
-def _uniforms(seed: int, slots, start: int, count: int, work: Optional[np.ndarray] = None) -> np.ndarray:
-    """Uniforms in [0, 1) for trials start..start+count-1: one row per draw slot, a 1-D row for a single slot.
-
-    The finalizer runs in place in ``work``, a uint64 array of shape (2, rows >= slots, count), fresh when not
-    given: the uniforms are its second half viewed as floats, and its first half is free again on return.
-    """
+def _slot_keys(seed: int, slots) -> np.ndarray:
+    """Both keys of each draw slot, shape (2, slots, 1): the counter's offset and the final xor."""
     slot = np.asarray(slots, dtype=np.uint64).reshape(-1, 1)  # an array, so the key arithmetic wraps without warning
-    key = _mix_u64(np.uint64(seed & _MASK) ^ _mix_u64((slot + np.uint64(1)) * np.uint64(_PHI)))
-    work = np.empty((2, len(slot), count), dtype=np.uint64) if work is None else work
-    z, scratch = work[0, : len(slot)], work[1, : len(slot)]
-    np.multiply(np.arange(start, start + count, dtype=np.uint64), np.uint64(_PHI), out=z)
-    z += key
+    key = _mix_u64(np.uint64(seed & _MASK) ^ _mix_u64((slot + _U1) * _PHI))
+    return np.stack((key, _mix_u64(key + _MIX2)))
+
+
+def _tile_uniforms(keys: np.ndarray, start: int, work: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) for trials start.. of the keyed slots, made in place in ``work``: uint64, (2, slots, trials)."""
+    z, scratch = work
+    np.multiply(np.arange(start, start + z.shape[1], dtype=np.uint64), _PHI, out=z)
+    z += keys[0]
     _mix_u64(z, scratch)
-    z ^= _mix_u64(key + np.uint64(_MIX2))
-    np.right_shift(_mix_u64(z, scratch), np.uint64(11), out=z)
-    return np.multiply(z, 2.0**-53, out=scratch.view(np.float64)).reshape(np.shape(slots) + (count,))
+    z ^= keys[1]
+    np.right_shift(_mix_u64(z, scratch), _U11, out=z)
+    return np.multiply(z.view(np.int64), 2.0**-53, out=scratch.view(np.float64))  # work's second half; exact: z < 2**53
+
+
+def _uniforms(seed: int, slots, start: int, count: int) -> np.ndarray:
+    """Uniforms in [0, 1) for trials start..start+count-1: one row per draw slot, a 1-D row for a single slot."""
+    keys = _slot_keys(seed, slots)
+    return _tile_uniforms(keys, start, np.empty((2, keys.shape[1], count), dtype=np.uint64)).reshape(np.shape(slots) + (count,))
 
 
 @dataclass(frozen=True)
@@ -149,8 +155,8 @@ class ReservoirSpec:
             out[...] = 0
         elif self.kind == "thermal":
             q = self.nbar / (self.nbar + 1.0)
-            v = np.floor(np.divide(np.log1p(np.negative(u, out=u), out=u), math.log(q), out=u), out=u)
-            np.copyto(out, v, casting="unsafe")  # the cast astype(np.int64) makes
+            v = np.divide(np.log1p(np.negative(u, out=u), out=u), math.log(q), out=u)
+            np.copyto(out, v, casting="unsafe")  # v >= 0, so the cast's truncation is the floor
         else:
             cdf = np.cumsum(np.asarray(self.probs))
             np.minimum(np.searchsorted(cdf, u, side="right"), len(self.probs) - 1, out=out)
@@ -290,18 +296,22 @@ def _power_sums(spec: ScenarioSpec, trial_offset: int, readouts: Optional[Sequen
         count = min(_BLOCK, end - start)
         x = np.full(count, signal, dtype=np.int64)
         lo, readout = 0, 0  # the next draw slot, and the next readout
-        work = np.empty((2, _BLOCK // count, count), dtype=np.uint64)  # the generator's, reused by every chunk
+        span = min(count, _TILE)  # a tile holds _TILE // span slots of span trials each
+        work = np.empty((2, _TILE // span, span), dtype=np.uint64)  # the generator's tile, reused by every chunk
         for w, m in classes:
             top = lo + m  # a class's slots follow its predecessors' in draw-slot order
             while lo < top:  # chunks of at most _BLOCK uniforms, each ending by the next readout
-                slots = np.arange(lo, min(lo + _BLOCK // count, top, points[readout]))
-                u = _uniforms(spec.seed, slots, start, count, work)
-                # the draws take the work array's first half, which the uniforms no longer need
-                draws = spec.reservoir._draw_block(u, work[0, : len(slots)].view(np.int64))
-                draws = draws[0] if len(slots) == 1 else draws.sum(axis=0)
-                draws *= w
-                x += draws
-                lo += len(slots)
+                hi = min(lo + _BLOCK // count, top, points[readout])
+                keys = _slot_keys(spec.seed, np.arange(lo, hi))
+                for t, r in itertools.product(range(0, count, span), range(0, hi - lo, _TILE // span)):
+                    tile = work[:, : hi - lo - r, : count - t]  # a ragged last tile is a corner of the work tile
+                    u = _tile_uniforms(keys[:, r : r + len(tile[0])], start + t, tile)
+                    draws = spec.reservoir._draw_block(u, tile[0].view(np.int64))  # in the tile's free first half
+                    draws = draws[0] if len(draws) == 1 else draws.sum(axis=0)
+                    if w != 1:
+                        draws *= w
+                    x[t : t + len(draws)] += draws
+                lo = hi
                 if lo == points[readout] < points[-1]:  # the last readout waits for the work array's release
                     _fold(x, sums[readout])
                     readout += 1

@@ -393,6 +393,14 @@ class TestCutoffPolicy:
         with pytest.raises(TruncationError, match="no adequate cutoff"):
             settle_cutoff(lambda k: thermal_state(FockSpace(k), 1e5), 3)
 
+    @pytest.mark.parametrize("start", [MAX_CUTOFF + 1, 1e308, 10**400])
+    def test_settle_cutoff_refuses_a_start_above_max_cutoff_before_building_a_state(self, start):
+        def refuse(s):
+            raise AssertionError("a start above MAX_CUTOFF leaves no cutoff to search")
+
+        with pytest.raises(TruncationError, match=f"start .* is above MAX_CUTOFF = {MAX_CUTOFF}"):
+            settle_cutoff(refuse, start)
+
     @pytest.mark.parametrize(
         "args, match",
         [

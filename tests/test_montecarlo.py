@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from fockamp import (
     var_single_mode,
 )
 from fockamp.cli import main
-from fockamp.montecarlo import _BLOCK, MAX_DRAWS, _power_sums, _stats_from_power_sums, _uniforms
+from fockamp.montecarlo import _BLOCK, _TILE, MAX_DRAWS, _power_sums, _slot_keys, _stats_from_power_sums, _uniforms
 
 
 def z_score(stats, target):
@@ -406,7 +407,7 @@ class TestRunScenario:
         def refuse(*args):
             raise AssertionError("a reservoir that always draws the same count needs no uniforms")
 
-        monkeypatch.setattr("fockamp.montecarlo._uniforms", refuse)
+        monkeypatch.setattr("fockamp.montecarlo._slot_keys", refuse)
         spec = ScenarioSpec(
             model="MultiStepMulti", input_n_a=2, reservoir=reservoir, trials=1000, seed=5, step_gain_g=2, steps_N=3
         )
@@ -497,22 +498,25 @@ class TestRunScenario:
     def test_a_weight_class_draws_its_slots_in_one_call(self, monkeypatch):
         calls = []
 
-        def counted(seed, slots, start, count, *work):
+        def counted(seed, slots):
             calls.append(np.size(slots))
-            return _uniforms(seed, slots, start, count, *work)
+            return _slot_keys(seed, slots)
 
-        monkeypatch.setattr("fockamp.montecarlo._uniforms", counted)
+        monkeypatch.setattr("fockamp.montecarlo._slot_keys", counted)
         spec = ScenarioSpec(
             model="MultiStepMulti", input_n_a=1, reservoir=ReservoirSpec.thermal(1.0), trials=2, seed=5, step_gain_g=2, steps_N=11
         )
         _power_sums(spec, 0)
-        # one call per cascade step, 2 + 4 + ... + 2**11 = 4094 slots in all, where one call per slot made 4094
+        # one key call per cascade step, 2 + 4 + ... + 2**11 = 4094 slots in all, where one call per slot made 4094
         assert calls == [2**n for n in range(1, 12)]
 
-    @pytest.mark.parametrize("trials,offset", [(11, 0), (19, 6), (3, 2**40)])
+    @pytest.mark.parametrize("trials,offset", [(11, 0), (19, 6), (3, 2**40), (9, 5)])
     def test_slot_chunks_and_trial_blocks_match_brute_force(self, trials, offset, monkeypatch):
-        # with 8 uniforms per call, a 3-trial block takes 2 slots per call: classes of 3, 9 and 27 slots split raggedly
+        # 8-trial blocks in 3-uniform tiles: a 3-trial block takes 2 slots per chunk, so classes of 3, 9 and 27 slots
+        # split raggedly; an 8-trial block walks tiles of 3, 3 and 2 trials; a 1-trial block 8-slot chunks in tiles
+        # of 3, 3 and 2 slots
         monkeypatch.setattr("fockamp.montecarlo._BLOCK", 8)
+        monkeypatch.setattr("fockamp.montecarlo._TILE", 3)
         spec = ScenarioSpec(
             model="MultiStepMulti",
             input_n_a=1,
@@ -526,13 +530,50 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("reservoir", [ReservoirSpec.thermal(0.7), ReservoirSpec.fock(2)], ids=lambda r: r.label)
     def test_readouts_match_brute_force_on_each_slot_prefix(self, reservoir, monkeypatch):
-        # 2 slots per call at 3 trials; readouts cut chunks inside and at the ends of the classes of 2, 4 and 8 slots
+        # 2 slots per chunk at 3 trials; readouts cut chunks inside and at the ends of the classes of 2, 4 and 8 slots,
+        # and each slot's 3 trials cross tiles of 2 and 1
         monkeypatch.setattr("fockamp.montecarlo._BLOCK", 8)
+        monkeypatch.setattr("fockamp.montecarlo._TILE", 2)
         spec = ScenarioSpec(
             model="MultiStepMulti", input_n_a=1, reservoir=reservoir, trials=3, seed=-5, step_gain_g=2, steps_N=3
         )
         readouts = [1, 2, 3, 5, 9, 14]
         assert _power_sums(spec, 7, readouts) == [brute_force_power_sums(spec, 7, k) for k in readouts]
+
+    def test_readouts_inside_a_chunk_whose_trials_cross_several_tiles(self):
+        # a block of 1.5 tiles plus 3 trials: 2 slots per chunk, each slot in a full tile and a ragged one
+        trials = _TILE * 3 // 2 + 3
+        spec = ScenarioSpec(
+            model="Shelving", input_n_a=1, reservoir=ReservoirSpec.thermal(0.7), trials=trials, seed=11, gain_G=5, cavity_mode_count=5
+        )
+        readouts = [1, 2, 3, 5]
+        assert _power_sums(spec, 3, readouts) == [brute_force_power_sums(spec, 3, k) for k in readouts]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(
+            [
+                dict(model="SingleMode", gain_G=3),
+                dict(model="MultiStepMulti", step_gain_g=2, steps_N=3),
+                dict(model="Shelving", gain_G=7, cavity_mode_count=7),
+            ]
+        ),
+        reservoir=st.sampled_from([ReservoirSpec.thermal(0.7), ReservoirSpec.empirical([0.5, 0.2, 0.3])]),
+        seed=st.integers(min_value=-(2**70), max_value=2**70),
+        trials=st.integers(min_value=2, max_value=40),
+        offset=st.integers(min_value=0, max_value=2**40),
+        block=st.sampled_from([8, 13, _BLOCK]),
+        cut=st.integers(min_value=1, max_value=14),
+    )
+    def test_power_sums_do_not_depend_on_the_tile(self, model, reservoir, seed, trials, offset, block, cut):
+        spec = ScenarioSpec(input_n_a=1, reservoir=reservoir, trials=trials, seed=seed, **model)
+        slots = len(spelled_out_weights(spec))
+        readouts = sorted({min(cut, slots), slots})
+        runs = []
+        for tile in (1, 3, 8, _TILE):
+            with mock.patch.multiple("fockamp.montecarlo", _BLOCK=block, _TILE=tile):
+                runs.append(_power_sums(spec, offset, readouts))
+        assert runs == [[brute_force_power_sums(spec, offset, k) for k in readouts]] * 4
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -648,7 +689,7 @@ class TestExactEstimators:
         def refuse(*args):
             raise AssertionError("a one-trial run is refused before any uniforms are drawn")
 
-        monkeypatch.setattr("fockamp.montecarlo._uniforms", refuse)
+        monkeypatch.setattr("fockamp.montecarlo._slot_keys", refuse)
         spec = ScenarioSpec(model="SingleMode", input_n_a=1, reservoir=ReservoirSpec.thermal(1.0), trials=1, seed=5, gain_G=2)
         with pytest.raises(ValueError, match="at least 2 trials"):
             run_scenario(spec)
@@ -662,7 +703,7 @@ class TestExactEstimators:
         def refuse(*args):
             raise AssertionError("a refused sweep draws no uniforms")
 
-        monkeypatch.setattr("fockamp.montecarlo._uniforms", refuse)
+        monkeypatch.setattr("fockamp.montecarlo._slot_keys", refuse)
         spec = ScenarioSpec(input_n_a=1, reservoir=ReservoirSpec.thermal(1.0), seed=5, gain_G=4, **kwargs)
         with pytest.raises(ValueError, match="a mode sweep needs a Shelving spec of at least 2 trials"):
             run_mode_sweep(spec)
@@ -673,7 +714,7 @@ class TestExactEstimators:
         def refuse(*args):
             raise AssertionError("a refused trial offset draws no uniforms")
 
-        monkeypatch.setattr("fockamp.montecarlo._uniforms", refuse)
+        monkeypatch.setattr("fockamp.montecarlo._slot_keys", refuse)
         reservoir = ReservoirSpec.thermal(1.0)
         single = ScenarioSpec(model="SingleMode", input_n_a=1, reservoir=reservoir, trials=10, seed=5, gain_G=2)
         with pytest.raises(ValueError, match="trial_offset"):
