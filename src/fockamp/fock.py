@@ -338,7 +338,7 @@ def check_truncation(*states: DiagonalState):
 
 
 def settle_cutoff(build_state: Callable[[int], DiagonalState], start: int) -> int:
-    """Grow a cutoff from ``start``, an integer >= 0, until the leakage guard passes for the state."""
+    """Grow a cutoff s from ``start``, an integer >= 0, to max(s + 8, int(1.5 * s)) until the leakage guard passes."""
     s = max(_check_integer(start, "start", 0), LEAKAGE_TOP_LEVELS)
     if s > MAX_CUTOFF:  # refused before any state is built, as there is no cutoff to search
         raise TruncationError(f"start {_shown(start)} is above MAX_CUTOFF = {MAX_CUTOFF}: no cutoff to search")

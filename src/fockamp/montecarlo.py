@@ -21,6 +21,7 @@ variances.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fock import _FLOAT_MAX, DiagonalState, FockSpace, NumberStats, _check_integer, _check_real
-from .noise import gain_structure
+from .noise import _gain_fields
 
 __all__ = [
     "ReservoirSpec",
@@ -41,7 +42,8 @@ __all__ = [
     "analytic_variance",
 ]
 
-MC_MODELS = ("SingleMode", "GModes", "MultiStepSingle", "MultiStepMulti", "Multiplexed", "Shelving")
+_CASCADES = ("MultiStepSingle", "MultiStepMulti")
+MC_MODELS = ("SingleMode", "GModes") + _CASCADES + ("Multiplexed", "Shelving")
 
 _MASK = (1 << 64) - 1
 _PHI, _MIX1, _MIX2 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
@@ -49,6 +51,7 @@ _U1, _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (1, 11, 27, 30, 31))  # num
 _BLOCK = 1 << 17  # trials per fold
 _TILE = 1 << 15  # uniforms per generator tile, sized for a per-core L2 cache with its scratch and draws
 MAX_DRAWS = 1 << 36  # most reservoir draws (trials * draw slots) one run may take: ~40 min at 3e7 draws/s
+_check_trials = functools.partial(_check_integer, name="a variance's trial count", minimum=2)  # the one trial-count rule
 
 
 def _mix_u64(z: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
@@ -132,11 +135,13 @@ class ReservoirSpec:
         """Largest count one draw can return (a uniform is at most 1 - 2**-53)."""
         if self.kind == "fock":
             return self.n
-        if self.kind == "thermal":
-            if self.nbar == 0.0:
-                return 0
-            return math.floor(math.log(2.0**-53) / math.log(self.nbar / (self.nbar + 1.0)))
-        return len(self.probs) - 1
+        if self.kind == "empirical":
+            return len(self.probs) - 1
+        return math.floor(math.log(2.0**-53) / math.log(self.nbar / (self.nbar + 1.0))) if self.nbar else 0
+
+    @property
+    def _draw_free(self) -> bool:  # every draw is _max_draw: a Fock law, thermal(0) or a one-level empirical law
+        return self.kind == "fock" or self._max_draw == 0
 
     @property
     def label(self) -> str:
@@ -149,17 +154,14 @@ class ReservoirSpec:
     def _draw_block(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Draws for the uniforms ``u``, written into ``out`` (int64, u's shape) when given; a thermal law overwrites u."""
         out = np.empty(u.shape, dtype=np.int64) if out is None else out
-        if self.kind == "fock":
-            out[...] = self.n
-        elif self.kind == "thermal" and self.nbar == 0.0:
-            out[...] = 0
+        if self._draw_free:
+            out[...] = self._max_draw
         elif self.kind == "thermal":
             q = self.nbar / (self.nbar + 1.0)
             v = np.divide(np.log1p(np.negative(u, out=u), out=u), math.log(q), out=u)
             np.copyto(out, v, casting="unsafe")  # v >= 0, so the cast's truncation is the floor
         else:
-            cdf = np.cumsum(np.asarray(self.probs))
-            np.minimum(np.searchsorted(cdf, u, side="right"), len(self.probs) - 1, out=out)
+            np.minimum(np.searchsorted(np.cumsum(self.probs), u, side="right"), self._max_draw, out=out)
         return out
 
 
@@ -181,10 +183,8 @@ class SampleStats:
     std_error_of_variance: float
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.variance < 0:
-            raise ValueError(f"variance must be nonnegative, got {self.variance}")
+        _check_trials(self.count)
+        _check_real(self.variance, "variance", 0)
 
 
 @dataclass(frozen=True)
@@ -210,12 +210,7 @@ class ScenarioSpec:
         for name in ("cavity_mode_count", "mode_budget"):  # checked when given, whichever the model
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _check_integer(getattr(self, name), name, 0))
-        if self.model in ("MultiStepSingle", "MultiStepMulti"):
-            if self.step_gain_g is None:
-                raise ValueError(f"{self.model} requires step_gain_g")
-            structure = gain_structure(self.gain_G, self.step_gain_g, self.steps_N)
-        else:
-            structure = gain_structure(self.gain_G)
+        structure = _gain_fields(self.model, self.model in _CASCADES, self.gain_G, self.step_gain_g, self.steps_N)
         for name, value in zip(("gain_G", "step_gain_g", "steps_N"), structure):
             object.__setattr__(self, name, value)
         if self.model == "Shelving":
@@ -230,19 +225,18 @@ class ScenarioSpec:
         if sum(m * w * w for w, m in classes) > _FLOAT_MAX:
             raise ValueError("the weight sum of squares behind the analytic variance is beyond the float range")
         draws = self.trials * sum(m for _, m in classes)
-        if draws > MAX_DRAWS and self.reservoir.kind != "fock" and self.reservoir._max_draw > 0:  # draw-free is O(1)
+        if draws > MAX_DRAWS and not self.reservoir._draw_free:  # a draw-free run costs O(1)
             raise ValueError(f"the run needs {draws} reservoir draws (trials * draw slots), above MAX_DRAWS = {MAX_DRAWS}")
 
 
 def _weight_classes(spec: ScenarioSpec) -> list[tuple[int, int]]:
     """(w, m) pairs in draw-slot order: m independent reservoir draws enter each trial with weight w."""
-    if spec.model in ("MultiStepSingle", "MultiStepMulti"):
+    if spec.model in _CASCADES:
         # Step n feeds g**n fresh modes (one in the single-mode cascade) whose
         # noise the remaining N-n steps amplify by g**(N-n); the multi-mode
         # readout sums the g**N last-step modes.
         g, n_steps = spec.step_gain_g, spec.steps_N
-        multi = spec.model == "MultiStepMulti"
-        return [(g ** (n_steps - n), g**n if multi else 1) for n in range(1, n_steps + 1)]
+        return [(g ** (n_steps - n), g**n if spec.model == "MultiStepMulti" else 1) for n in range(1, n_steps + 1)]
     if spec.model == "SingleMode":
         return [(1, 1)]
     if spec.model == "GModes":
@@ -283,7 +277,7 @@ def _power_sums(spec: ScenarioSpec, trial_offset: int, readouts: Optional[Sequen
     classes = _weight_classes(spec)
     signal = spec.gain_G * spec.input_n_a
     points = [sum(m for _, m in classes)] if readouts is None else list(readouts)
-    if spec.reservoir.kind == "fock" or spec.reservoir._max_draw == 0:
+    if spec.reservoir._draw_free:
         # every draw is _max_draw, so after k slots every trial counts the same c: the signal plus that many weights
         firsts = list(itertools.accumulate((m for _, m in classes), initial=0))
         weights = (sum(w * min(m, max(k - f, 0)) for (w, m), f in zip(classes, firsts)) for k in points)
@@ -321,8 +315,7 @@ def _power_sums(spec: ScenarioSpec, trial_offset: int, readouts: Optional[Sequen
 
 
 def _stats_from_power_sums(n: int, s1: int, s2: int, s3: int, s4: int) -> SampleStats:
-    if n < 2:
-        raise ValueError(f"a variance needs at least 2 trials, got {n}")
+    _check_trials(n)  # the runs refuse before sampling; a direct call of one trial is refused here, not divided by 0
     mean = s1 / n
     # c2 = n^2 m2, c4 = n^4 m4: each estimator is one correctly rounded int/int, >= 0 as m4 >= m2^2
     c2 = n * s2 - s1 * s1
@@ -339,8 +332,7 @@ def run_scenario(spec: ScenarioSpec, trial_offset: int = 0) -> SampleStats:
     so a run of 2T trials decomposes exactly into two T-trial runs at offsets
     0 and T.  Trial indices lie in [0, 2**64), so trial_offset is an integer in [0, 2**64 - trials].
     """
-    if spec.trials < 2:  # refused before any sampling, as _stats_from_power_sums would refuse it after
-        raise ValueError(f"a variance needs at least 2 trials, got {spec.trials}")
+    _check_trials(spec.trials)  # refused before any sampling
     return _stats_from_power_sums(spec.trials, *_power_sums(spec, trial_offset))
 
 
@@ -350,7 +342,8 @@ def run_mode_sweep(spec: ScenarioSpec, trial_offset: int = 0) -> list[SampleStat
     The k-mode run draws exactly the first k draw slots of this one, so entry k - 1 equals
     ``run_scenario(replace(spec, cavity_mode_count=k), trial_offset)`` bitwise.
     """
-    if spec.model != "Shelving" or spec.trials < 2:  # refused before any sampling
-        raise ValueError(f"a mode sweep needs a Shelving spec of at least 2 trials, got {spec.model} of {spec.trials}")
+    if spec.model != "Shelving":  # refused before any sampling, as is a spec of fewer than 2 trials
+        raise ValueError(f"a mode sweep needs a Shelving spec, got {spec.model}")
+    _check_trials(spec.trials)
     sums = _power_sums(spec, trial_offset, range(1, spec.cavity_mode_count + 1))
     return [_stats_from_power_sums(spec.trials, *mode_sums) for mode_sums in sums]

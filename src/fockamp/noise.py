@@ -64,6 +64,13 @@ def gain_structure(G, g=None, N=None) -> tuple[int, Optional[int], Optional[int]
     return g**N, g, N
 
 
+def _gain_fields(name: str, cascade: bool, G, g, N) -> tuple[int, Optional[int], Optional[int]]:
+    """The (G, g, N) of a nonlinear scheme's gain fields: a cascade, which requires g, reads all three, any other G alone."""
+    if cascade and g is None:
+        raise ValueError(f"{name} requires a step gain g")
+    return gain_structure(G, g, N) if cascade else gain_structure(G)
+
+
 @dataclass(frozen=True)
 class Mechanism:
     """Amplification mechanism label with its validated gain parameters.
@@ -82,12 +89,8 @@ class Mechanism:
             raise ValueError(f"unknown mechanism tag {self.tag!r}")
         if self.tag in _LINEAR:
             structure = (_check_real(self.gain_G, "gain", 1), None, None)
-        elif self.tag in _MULTISTEP:
-            if self.step_gain_g is None:
-                raise ValueError(f"{self.tag} requires a per-step gain")
-            structure = gain_structure(self.gain_G, self.step_gain_g, self.steps_N)
         else:
-            structure = gain_structure(self.gain_G)
+            structure = _gain_fields(self.tag, self.tag in _MULTISTEP, self.gain_G, self.step_gain_g, self.steps_N)
         for name, value in zip(("gain_G", "step_gain_g", "steps_N"), structure):
             object.__setattr__(self, name, value)
 

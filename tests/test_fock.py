@@ -375,6 +375,16 @@ class TestCutoffPolicy:
         assert s >= start
         check_truncation(thermal_state(FockSpace(s), 1.0))
 
+    def test_settle_cutoff_grows_by_the_documented_schedule(self):
+        # each miss grows s to max(s + 8, int(1.5 * s)): at least 8 levels, then half again
+        def tried(nbar, start):
+            seen = []
+            settled = settle_cutoff(lambda k: seen.append(k) or thermal_state(FockSpace(k), nbar), start)
+            return settled, seen
+
+        assert tried(0.05, 3) == (11, [3, 11])
+        assert tried(5.0, 3) == (141, [3, 11, 19, 28, 42, 63, 94, 141])
+
     def test_settle_cutoff_accepts_max_cutoff_itself(self):
         assert settle_cutoff(lambda k: fock_state(FockSpace(k), 0), MAX_CUTOFF) == MAX_CUTOFF
 

@@ -266,7 +266,7 @@ class TestScenarioValidation:
             steps_N=3,
         )
         assert spec.gain_G == 8
-        with pytest.raises(ValueError, match="requires step_gain_g"):
+        with pytest.raises(ValueError, match="MultiStepSingle requires a step gain g"):
             ScenarioSpec(model="MultiStepSingle", input_n_a=0, reservoir=ReservoirSpec.fock(0), trials=10, seed=1, gain_G=8)
 
     def test_shelving_mode_count_range(self):
@@ -404,6 +404,10 @@ class TestRunScenario:
         "reservoir", [ReservoirSpec.fock(3), ReservoirSpec.thermal(0.0), ReservoirSpec.empirical([1.0])]
     )
     def test_draw_free_reservoir_never_reaches_the_generator(self, reservoir, monkeypatch):
+        # the public draws of a draw-free law are _max_draw everywhere, from the one draw-free branch of _draw_block
+        assert reservoir._draw_free
+        assert reservoir_draws(reservoir, 1000, seed=5, draw_index=2).tolist() == [reservoir._max_draw] * 1000
+
         def refuse(*args):
             raise AssertionError("a reservoir that always draws the same count needs no uniforms")
 
@@ -665,7 +669,7 @@ class TestExactEstimators:
         n = len(x)
         sums = [sum(v**k for v in x) for k in (1, 2, 3, 4)]
         if n == 1:  # one sample has no variance to estimate
-            with pytest.raises(ValueError, match="at least 2 trials"):
+            with pytest.raises(ValueError, match="a variance's trial count must be an integer >= 2, got 1"):
                 _stats_from_power_sums(n, *sums)
             return
         stats = _stats_from_power_sums(n, *sums)
@@ -679,11 +683,13 @@ class TestExactEstimators:
         assert stats.std_error_of_variance == math.sqrt(float(var_of_var))
 
     def test_sample_stats_invariants(self):
-        with pytest.raises(ValueError, match="count must be >= 1"):
-            SampleStats(0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="variance must be nonnegative"):
-            SampleStats(2, 0.0, -1.0, 0.0)
-        assert SampleStats(1, 0.0, 0.0, 0.0).count == 1  # the stats of a 1-trial slice of a split run
+        for count in (0, 1):  # one sample has no variance to estimate, as in run_scenario and run_mode_sweep
+            with pytest.raises(ValueError, match=f"a variance's trial count must be an integer >= 2, got {count}"):
+                SampleStats(count, 0.0, 0.0, 0.0)
+        for variance in (-1.0, math.nan, math.inf):  # the one real check: a real >= 0 within the float range
+            with pytest.raises(ValueError, match="variance must be a real number"):
+                SampleStats(2, 0.0, variance, 0.0)
+        assert SampleStats(2, 0.0, 0.0, 0.0).count == 2
 
     def test_one_trial_run_is_refused(self, monkeypatch):
         def refuse(*args):
@@ -691,21 +697,24 @@ class TestExactEstimators:
 
         monkeypatch.setattr("fockamp.montecarlo._slot_keys", refuse)
         spec = ScenarioSpec(model="SingleMode", input_n_a=1, reservoir=ReservoirSpec.thermal(1.0), trials=1, seed=5, gain_G=2)
-        with pytest.raises(ValueError, match="at least 2 trials"):
+        with pytest.raises(ValueError, match="a variance's trial count must be an integer >= 2, got 1"):
             run_scenario(spec)
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [dict(model="Shelving", trials=1, cavity_mode_count=3), dict(model="GModes", trials=1000)],
+        "kwargs, message",
+        [
+            (dict(model="Shelving", trials=1, cavity_mode_count=3), "a variance's trial count must be an integer >= 2, got 1"),
+            (dict(model="GModes", trials=1000), "a mode sweep needs a Shelving spec, got GModes"),
+        ],
         ids=["one-trial", "not-shelving"],
     )
-    def test_mode_sweep_refusals_come_before_sampling(self, kwargs, monkeypatch):
+    def test_mode_sweep_refusals_come_before_sampling(self, kwargs, message, monkeypatch):
         def refuse(*args):
             raise AssertionError("a refused sweep draws no uniforms")
 
         monkeypatch.setattr("fockamp.montecarlo._slot_keys", refuse)
         spec = ScenarioSpec(input_n_a=1, reservoir=ReservoirSpec.thermal(1.0), seed=5, gain_G=4, **kwargs)
-        with pytest.raises(ValueError, match="a mode sweep needs a Shelving spec of at least 2 trials"):
+        with pytest.raises(ValueError, match=message):
             run_mode_sweep(spec)
 
     # trial indices lie in [0, 2**64): with 10 trials, offset 2**64 - 3 would rerun trials 0..6 of offset 0

@@ -103,7 +103,7 @@ class TestMechanism:
             Mechanism("MultiStepSingleMode", 10, 3)
         with pytest.raises(ValueError):
             Mechanism("MultiStepMultiMode", 8, 2, steps_N=2)
-        with pytest.raises(ValueError, match="requires a per-step gain"):
+        with pytest.raises(ValueError, match="MultiStepMultiMode requires a step gain g"):
             Mechanism("MultiStepMultiMode", 8)
 
     def test_constructors_fill_steps(self):

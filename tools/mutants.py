@@ -9,8 +9,8 @@ so on), writes the module back with ``ast.unparse`` into a private copy of the
 repository, and runs tier-1 there with ``-x``.  A mutant whose run fails or
 takes over 4x the unmutated run is killed (a swap can make a loop endless); one
 whose run passes survives and is reported.  Up to 4 mutants run at once, one
-per CPU, each in its own copy.  The two slow tests and the failure kept by
-design are deselected.  A site is its position in ``ast.walk`` order, plus the
+per CPU, each in its own copy.  The slow Monte Carlo sweep and the failure kept
+by design are deselected.  A site is its position in ``ast.walk`` order, plus the
 operator's index within a chained comparison: nested operators can share a line
 and column, but never that position.  Standard library only; exit code 1 when
 any mutant survives.
@@ -34,7 +34,6 @@ ROOT = Path(__file__).resolve().parent.parent
 DESELECT = (
     "tests/test_acceptance.py::test_snr_hierarchy_across_mechanisms",  # fails by design (see README)
     "tests/test_acceptance.py::test_monte_carlo_matches_variance_formulas",  # slow
-    "tests/test_acceptance.py::test_exact_nonlinear_number_identity",  # slow
 )
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
