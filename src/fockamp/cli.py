@@ -9,6 +9,7 @@ byte-identical output files.
 
 Each ``_COMMANDS`` entry's ``parse`` validates the resolved config and returns
 the run step, so every configuration error comes before any output is written.
+A CSV command's run step returns its rows, and ``main`` writes them.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error.
 """
@@ -21,9 +22,9 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Optional
 
 from . import filters, noise
 from .fock import NumberStats, _check_integer, _check_real
@@ -83,17 +84,17 @@ def _snr(signal, variance: float) -> float:  # +inf for a noiseless output
 # --------------------------------------------------------------------- verify
 
 
-def _parse_verify(cfg: dict) -> Callable[[], int]:
+def _parse_verify(cfg: dict) -> Callable[[], bool]:
     checks = VerifyConfig(cutoff=cfg["cutoff"], gain=cfg["gain"], seed=cfg["seed"], fixed_phase=cfg["fixed_phase"])
 
-    def run() -> int:
+    def run() -> bool:  # whether every check passed
         results = run_checks(checks)
         width = max(len(r.name) for r in results)
         failures = sum(not r.passed for r in results)
         for r in results:
             print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")
         print(f"{len(results) - failures}/{len(results)} checks passed")
-        return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
+        return failures == 0
 
     return run
 
@@ -103,7 +104,7 @@ def _parse_verify(cfg: dict) -> Callable[[], int]:
 _DEFAULT_MECHANISMS = [{"tag": tag, "g": 2} if tag in noise._MULTISTEP else {"tag": tag} for tag in noise.MECHANISM_TAGS]
 
 
-def _parse_snr_table(cfg: dict) -> Callable[[], int]:
+def _parse_snr_table(cfg: dict) -> Callable[[], list]:
     n_a, dn_b = noise._check_snr_inputs(cfg["n_a"], cfg["dn_b"])
     families = []
     for entry in _typed(cfg["mechanisms"], list, "mechanisms"):
@@ -115,9 +116,8 @@ def _parse_snr_table(cfg: dict) -> Callable[[], int]:
     grid = _typed(cfg["grid"], list, "grid")
     if any(isinstance(g, bool) or not isinstance(g, numbers.Real) for g in grid):
         raise ConfigError(f"grid entries must be numbers, got {grid!r}")
-    path = _out_path(cfg, "snr_table.csv")
 
-    def run() -> int:
+    def run() -> list:
         rows = []
         for tag, step_g in families:
             for grid_g in grid:
@@ -128,9 +128,7 @@ def _parse_snr_table(cfg: dict) -> Callable[[], int]:
                     print(f"warning: skipping {tag} at G = {grid_g}: {exc}", file=sys.stderr)
                     continue
                 rows.append([tag, mech.gain_G, mech.step_gain_g, mech.steps_N, n_a, dn_b, value])
-        _write_csv(path, ["mechanism", "G", "g", "N", "n_a", "dn_b", "snr"], rows)
-        print(f"wrote {len(rows)} rows to {path} ({len(families) * len(grid) - len(rows)} grid points skipped)")
-        return EXIT_OK
+        return rows
 
     return run
 
@@ -157,7 +155,7 @@ _DEFAULT_SCENARIOS = [
 ]
 
 
-def _parse_mc(cfg: dict) -> Callable[[], int]:
+def _parse_mc(cfg: dict) -> Callable[[], list]:
     trials, seed = _check_integer(cfg["trials"], "trials", 2), _check_integer(cfg["seed"], "seed")
     # every scenario is validated here, before any sampling happens; a variance needs 2 trials
     specs = [
@@ -175,9 +173,8 @@ def _parse_mc(cfg: dict) -> Callable[[], int]:
         )
         for c in _typed(cfg["scenarios"], list, "scenarios")
     ]
-    path = _out_path(cfg, "mc_runs.csv")
 
-    def run() -> int:
+    def run() -> list:
         rows = []
         for spec in specs:
             stats = run_scenario(spec)
@@ -202,10 +199,7 @@ def _parse_mc(cfg: dict) -> Callable[[], int]:
                     z,
                 ]
             )
-        header = ["model", "G", "g", "N", "n_a", "reservoir", "trials", "seed", "mean", "variance", "analytic_variance", "z_score"]
-        _write_csv(path, header, rows)
-        print(f"wrote {len(rows)} scenario rows to {path}")
-        return EXIT_OK
+        return rows
 
     return run
 
@@ -213,7 +207,7 @@ def _parse_mc(cfg: dict) -> Callable[[], int]:
 # ------------------------------------------------------------------ filter-scan
 
 
-def _parse_filter_scan(cfg: dict) -> Callable[[], int]:
+def _parse_filter_scan(cfg: dict) -> Callable[[], list]:
     nbar_amp = filters.thermal_occupancy(cfg["omega_amp"], cfg["temperature"])
     b_env = NumberStats(nbar_amp, nbar_amp * (nbar_amp + 1.0))
     gain = noise.gain_structure(cfg["gain"])[0]
@@ -228,18 +222,15 @@ def _parse_filter_scan(cfg: dict) -> Callable[[], int]:
         lo, hi, omega0 = (_check_real(cfg[key], key) for key in ("omega_min", "omega_max", "omega0"))
         step = (hi - lo) / (count - 1) if count > 1 else 0.0
         pairs = [filters.lorentzian_transfer(lo + k * step, omega0, cfg["gamma"]) for k in range(count)]
-    path = _out_path(cfg, "filter_scan.csv")
 
-    def run() -> int:
+    def run() -> list:
         rows = []
         for tp in pairs:
             out = filters.filtered_amplified_stats(tp, a, vacuum, gain, b_env)
             signal = out.mean - b_env.mean
             snr_value = _snr(signal, out.variance)
             rows.append([tp.omega, abs(tp.T) ** 2, abs(tp.R) ** 2, nbar_amp, snr_value])
-        _write_csv(path, ["omega", "abs_T2", "abs_R2", "nbar_at_omega_amp", "snr_end_to_end"], rows)
-        print(f"wrote {len(rows)} scan rows to {path}")
-        return EXIT_OK
+        return rows
 
     return run
 
@@ -247,7 +238,7 @@ def _parse_filter_scan(cfg: dict) -> Callable[[], int]:
 # --------------------------------------------------------------- shelving-demo
 
 
-def _parse_shelving_demo(cfg: dict) -> Callable[[], int]:
+def _parse_shelving_demo(cfg: dict) -> Callable[[], list]:
     gain = _check_integer(cfg["gain"], "gain", 1)
     n_a, trials, seed = (_check_integer(cfg[k], k, least) for k, least in (("n_a", 0), ("trials", 2), ("seed", None)))
     reservoir = ReservoirSpec.thermal(cfg["nbar"])
@@ -257,9 +248,8 @@ def _parse_shelving_demo(cfg: dict) -> Callable[[], int]:
     spec = ScenarioSpec(
         model="Shelving", input_n_a=n_a, reservoir=reservoir, trials=trials, seed=seed, gain_G=gain, cavity_mode_count=gain
     )
-    path = _out_path(cfg, "shelving_demo.csv")
 
-    def run() -> int:
+    def run() -> list:
         rows, sweep = [], run_mode_sweep(spec)
         for modes in range(gain, 0, -1):
             stats = sweep[modes - 1]
@@ -268,11 +258,7 @@ def _parse_shelving_demo(cfg: dict) -> Callable[[], int]:
             variance = analytic_variance(replace(spec, cavity_mode_count=modes))
             snr_analytic = _snr(gain * n_a, variance)
             rows.append([modes, gain, n_a, reservoir.label, trials, seed, stats.mean, stats.variance, snr_mc, snr_analytic])
-        header = ["cavity_modes", "G", "n_a", "reservoir", "trials", "seed", "mean", "variance", "snr_mc", "snr_analytic"]
-        _write_csv(path, header, rows)
-        lo, hi = rows[0][-1], rows[-1][-1]
-        print(f"wrote {len(rows)} rows to {path}; analytic SNR rises {lo:.3f} -> {hi:.3f} as modes drop {gain} -> 1")
-        return EXIT_OK
+        return rows
 
     return run
 
@@ -283,15 +269,16 @@ def _parse_shelving_demo(cfg: dict) -> Callable[[], int]:
 @dataclass(frozen=True)
 class _Command:
     help: str
-    defaults: dict  # the config keys the command reads, with their values when unset
+    defaults: dict  # the config keys the command reads, with their values when unset, besides out
     flags: tuple[str, ...]  # the defaults keys that also have a flag, besides --out
-    parse: Callable[[dict], Callable[[], int]]  # validates the resolved config, returns the run step
+    parse: Callable[[dict], Callable]  # validates the resolved config, returns the run step: rows, or verify's verdict
+    csv: Optional[tuple[str, list[str]]] = None  # the CSV's default file name and header; a CSV command also reads out
 
 
 _FLAGS = {
     "seed": dict(type=int, help="master seed for anything random"),
     "trials": dict(type=int, help="Monte Carlo trials per scenario"),
-    "gain": dict(type=float, help="gain used by gain-dependent checks"),
+    "gain": dict(type=float, help="gain G of the gain-dependent checks (verify) or of the shelving run (shelving-demo)"),
     "cutoff": dict(type=int, help="override the automatic cutoff heuristic"),
     "fixed_phase": dict(type=float, help="fix the shift-operator phase"),
 }
@@ -299,21 +286,23 @@ _FLAGS = {
 _COMMANDS = {
     "verify": _Command(
         "run the invariant suite",
-        {"cutoff": None, "gain": None, "seed": 2024, "fixed_phase": None},
+        asdict(VerifyConfig()),
         ("seed", "gain", "cutoff", "fixed_phase"),
         _parse_verify,
     ),
     "snr-table": _Command(
         "SNR versus gain for each mechanism",
-        {"mechanisms": _DEFAULT_MECHANISMS, "grid": [1, 2, 4, 8, 16, 64, 256], "n_a": 1, "dn_b": 1.0, "out": None},
+        {"mechanisms": _DEFAULT_MECHANISMS, "grid": [1, 2, 4, 8, 16, 64, 256], "n_a": 1, "dn_b": 1.0},
         (),
         _parse_snr_table,
+        ("snr_table.csv", "mechanism G g N n_a dn_b snr".split()),
     ),
     "mc": _Command(
         "Monte Carlo scenarios with analytic z-scores",
-        {"scenarios": _DEFAULT_SCENARIOS, "trials": 100_000, "seed": 12345, "out": None},
+        {"scenarios": _DEFAULT_SCENARIOS, "trials": 100_000, "seed": 12345},
         ("seed", "trials"),
         _parse_mc,
+        ("mc_runs.csv", "model G g N n_a reservoir trials seed mean variance analytic_variance z_score".split()),
     ),
     "filter-scan": _Command(
         "frequency scan of the filter-then-amplify pipeline",
@@ -328,16 +317,17 @@ _COMMANDS = {
             "gain": 100,
             "n_a": 1,
             "table": None,
-            "out": None,
         },
         (),
         _parse_filter_scan,
+        ("filter_scan.csv", "omega abs_T2 abs_R2 nbar_at_omega_amp snr_end_to_end".split()),
     ),
     "shelving-demo": _Command(
         "sweep cavity mode count from G down to 1",
-        {"gain": 8, "n_a": 1, "nbar": 1.0, "trials": 200_000, "seed": 7, "out": None},
+        {"gain": 8, "n_a": 1, "nbar": 1.0, "trials": 200_000, "seed": 7},
         ("seed", "trials", "gain"),
         _parse_shelving_demo,
+        ("shelving_demo.csv", "cavity_modes G n_a reservoir trials seed mean variance snr_mc snr_analytic".split()),
     ),
 }
 
@@ -351,7 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out", help="output CSV path (default under $%s)" % OUT_DIR_ENV)
+        if command.csv:
+            p.add_argument("--out", help="output CSV path (default under $%s)" % OUT_DIR_ENV)
         for key in command.flags:
             p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
     return parser
@@ -362,17 +353,24 @@ def main(argv=None) -> int:
     command = _COMMANDS[args.command]
     try:  # resolving and parsing only: an error raised by the run step is not a configuration error
         # defaults < config file < explicit flags, for the keys the command reads
-        cfg = dict(command.defaults)
+        defaults = {**command.defaults, "out": None} if command.csv else command.defaults
+        cfg = dict(defaults)
         if args.config is not None:
             with open(args.config) as fh:
                 cfg.update(_typed(json.load(fh), dict, f"config {args.config}"))
-        cfg.update((key, getattr(args, key)) for key in command.defaults if getattr(args, key, None) is not None)
+        cfg.update((key, getattr(args, key)) for key in defaults if getattr(args, key, None) is not None)
         print(f"[{args.command}] resolved config: {json.dumps(cfg, sort_keys=True)}", file=sys.stderr)
         run = command.parse(cfg)
+        path = _out_path(cfg, command.csv[0]) if command.csv else None
     except (ConfigError, KeyError, TypeError, ValueError, OSError, OverflowError) as exc:
         print(f"configuration error: invalid {args.command} config ({type(exc).__name__}: {exc})", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    return run()
+    if path is None:  # verify: its stdout is its output, and its verdict the exit code
+        return EXIT_OK if run() else EXIT_CHECK_FAILED
+    rows = run()
+    _write_csv(path, command.csv[1], rows)
+    print(f"wrote {len(rows)} rows to {path}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -184,7 +184,8 @@ class SampleStats:
 
     def __post_init__(self):
         _check_trials(self.count)
-        _check_real(self.variance, "variance", 0)
+        for name, minimum in (("mean", None), ("variance", 0), ("std_error_of_variance", 0)):
+            _check_real(getattr(self, name), name, minimum)
 
 
 @dataclass(frozen=True)
@@ -291,15 +292,15 @@ def _power_sums(spec: ScenarioSpec, trial_offset: int, readouts: Optional[Sequen
         x = np.full(count, signal, dtype=np.int64)
         lo, readout = 0, 0  # the next draw slot, and the next readout
         span = min(count, _TILE)  # a tile holds _TILE // span slots of span trials each
-        work = np.empty((2, _TILE // span, span), dtype=np.uint64)  # the generator's tile, reused by every chunk
+        work = np.empty((2, _TILE // span, span), dtype=np.uint64)  # the generator's tile, reused by every tile
         for w, m in classes:
             top = lo + m  # a class's slots follow its predecessors' in draw-slot order
-            while lo < top:  # chunks of at most _BLOCK uniforms, each ending by the next readout
-                hi = min(lo + _BLOCK // count, top, points[readout])
+            while lo < top:  # tiles of at most _TILE // span slots, each ending by the next readout
+                hi = min(lo + _TILE // span, top, points[readout])
                 keys = _slot_keys(spec.seed, np.arange(lo, hi))
-                for t, r in itertools.product(range(0, count, span), range(0, hi - lo, _TILE // span)):
-                    tile = work[:, : hi - lo - r, : count - t]  # a ragged last tile is a corner of the work tile
-                    u = _tile_uniforms(keys[:, r : r + len(tile[0])], start + t, tile)
+                for t in range(0, count, span):
+                    tile = work[:, : hi - lo, : count - t]  # a ragged tile is a corner of the work tile
+                    u = _tile_uniforms(keys, start + t, tile)
                     draws = spec.reservoir._draw_block(u, tile[0].view(np.int64))  # in the tile's free first half
                     draws = draws[0] if len(draws) == 1 else draws.sum(axis=0)
                     if w != 1:

@@ -50,15 +50,15 @@ class VerifyConfig:
     """Settings of one verify run; an invalid value raises ValueError on construction."""
 
     cutoff: Optional[int] = None  # overrides the heuristic when set
-    gain: Optional[float] = None
+    gain: float = 3.0
     seed: int = 2024
-    fixed_phase: Optional[float] = None
+    fixed_phase: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "fixed_phase", None if self.fixed_phase is None else _check_real(self.fixed_phase, "fixed_phase"))
+        object.__setattr__(self, "fixed_phase", _check_real(self.fixed_phase, "fixed_phase"))
         # at most MAX_CUTOFF, as settle_cutoff never goes past it either
         object.__setattr__(self, "cutoff", None if self.cutoff is None else _check_integer(self.cutoff, "cutoff", 0, MAX_CUTOFF))
-        object.__setattr__(self, "gain", None if self.gain is None else _check_real(self.gain, "gain", 1))
+        object.__setattr__(self, "gain", _check_real(self.gain, "gain", 1))
         object.__setattr__(self, "seed", _check_integer(self.seed, "seed"))
 
 
@@ -77,8 +77,7 @@ def _rel_err(value: float, reference: float) -> float:
 def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
     checks: list[tuple[str, Callable[[], tuple[bool, str]]]] = []
     rng = np.random.default_rng(cfg.seed)
-    gain = cfg.gain if cfg.gain is not None else 3.0
-    g_int = round(gain)  # the nearest integer gain, >= 1 since gain is
+    gain, g_int = cfg.gain, round(cfg.gain)  # the nearest integer gain, >= 1 since gain is
 
     def check(name):  # registers the decorated function as the check called ``name``
         return lambda fn: checks.append((name, fn))
@@ -100,18 +99,16 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
 
     @check("thermal state normalized and monotone")
     def _():
-        ok, worst = True, 0.0
-        for nbar in (0.1, 0.7, 1.0, 3.5):
-            st = thermal_state(FockSpace(50), nbar)
-            worst = max(worst, abs(float(st.probs.sum()) - 1.0))
-            ok &= bool(np.all(np.diff(st.probs) <= 0))
+        states = [thermal_state(FockSpace(50), nbar) for nbar in (0.1, 0.7, 1.0, 3.5)]
+        worst = np.max([abs(float(st.probs.sum()) - 1.0) for st in states])
+        ok = all(np.all(np.diff(st.probs) <= 0) for st in states)
         return ok and worst <= 1e-12, f"worst |sum-1| {worst:.2e}"
 
     @check("thermal moments at large cutoff")
     def _():
         st = thermal_state(FockSpace(60), 1.0)
         stats = moments(st, number_op(st.space))
-        err = max(abs(stats.mean - 1.0), abs(stats.variance - 2.0))
+        err = np.max([abs(stats.mean - 1.0), abs(stats.variance - 2.0)])
         return err <= 1e-9, f"max |error| {err:.2e}"
 
     @check("variance scaling under observable rescaling")
@@ -158,20 +155,18 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
 
     @check("shift operator unitary")
     def _():
-        worst = 0.0
-        for phi in (0.0, 0.7, math.pi, 5.1):
-            s = channels.shift_operator(FockSpace(24), phi)
-            worst = max(worst, float(np.max(np.abs(s.mat.conj().T @ s.mat - np.eye(25)))))
+        shifts = [channels.shift_operator(FockSpace(24), phi).mat for phi in (0.0, 0.7, math.pi, 5.1)]
+        worst = np.max([np.abs(s.conj().T @ s - np.eye(25)) for s in shifts])
         return worst <= 1e-12, f"max |S^dag S - 1| = {worst:.2e}"
 
     @check("nonlinear output-number identity")
     def _():
-        worst = 0.0
-        for s_b, s_a in ((25, 4), (12, 8)):
-            sb, sa = FockSpace(s_b), FockSpace(s_a)
+        devs = []
+        for sb, sa in ((FockSpace(25), FockSpace(4)), (FockSpace(12), FockSpace(8))):
             bout = channels.nonlinear_bout(sb, sa, g_int, 0.35)
             target = tensor(number_op(sb), identity(sa)) + float(g_int) * tensor(identity(sb), number_op(sa))
-            worst = max(worst, float(np.max(np.abs((bout.dagger() @ bout).mat - target.mat))))
+            devs.append(np.max(np.abs((bout.dagger() @ bout).mat - target.mat)))
+        worst = np.max(devs)
         return worst <= 1e-12, f"max |b^dag b - (n_b + G n_a)| = {worst:.2e}"
 
     @check("truncated commutator, single-mode sector")
@@ -195,18 +190,17 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
     def _():
         sb, sa = FockSpace(30), FockSpace(3)
         state = [thermal_state(sb, 0.5), fock_state(sa, 1)]
-        phases = [cfg.fixed_phase if cfg.fixed_phase is not None else 0.0,
-                  float(np.random.default_rng(cfg.seed).uniform(0, 2 * math.pi))]
+        phases = [cfg.fixed_phase, float(np.random.default_rng(cfg.seed).uniform(0, 2 * math.pi))]
         results = []
         for phi in phases:
             bout = channels.nonlinear_bout(sb, sa, 2, phi)
             results.append(moments(state, bout.dagger() @ bout))
-        dev = max(abs(results[0].mean - results[1].mean), abs(results[0].variance - results[1].variance))
+        dev = np.max([abs(results[0].mean - results[1].mean), abs(results[0].variance - results[1].variance)])
         return dev <= 1e-12, f"phases {phases[0]:.3f} vs {phases[1]:.3f}: max moment difference {dev:.2e}"
 
     @check("linear-gain coefficient identity")
     def _():
-        worst = max(abs(math.sqrt(g) ** 2 - math.sqrt(g - 1.0) ** 2 - 1.0) for g in (1.0, 1.5, 2.0, 7.25, 100.0))
+        worst = np.max([abs(math.sqrt(g) ** 2 - math.sqrt(g - 1.0) ** 2 - 1.0) for g in (1.0, 1.5, 2.0, 7.25, 100.0)])
         return worst <= 1e-12, f"max |G - (G-1) - 1| = {worst:.2e}"
 
     @check("commutator is traceless")
@@ -283,7 +277,8 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
             abs(noise.var_multistep_single(3, 3, a, b) - noise.var_single_mode(3, a, b)),
             abs(noise.var_multistep_multi(3, 3, a, b) - noise.var_g_modes(3, a, b)),
         ]
-        return max(errs) <= 1e-12, f"max reduction error {max(errs):.2e}"
+        err = np.max(errs)
+        return err <= 1e-12, f"max reduction error {err:.2e}"
 
     @check("SNR ordering: single mode, G modes, linear bound")
     def _():
@@ -309,23 +304,22 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
     def _():
         pi = noise.snr(noise.Mechanism.phase_insensitive(1e4), 1, 1.0)
         ps = noise.snr(noise.Mechanism.phase_sensitive(1e4), 1, 1.0)
-        err = max(abs(pi - 1.0), abs(ps - math.sqrt(2.0)) / math.sqrt(2.0))
+        err = np.max([abs(pi - 1.0), abs(ps - math.sqrt(2.0)) / math.sqrt(2.0)])
         return err <= 0.01, f"max relative miss {err:.2e} at G = 1e4"
 
     @check("reservoir-noise floor of single-mode amplification")
     def _():
         a = NumberStats(5.0, 0.0)
         devs = [abs(noise.var_single_mode(g, a, NumberStats(0.4, s2)) - s2) for g in (1, 7, 40) for s2 in (0.3, 1.0, 2.6)]
-        return max(devs) == 0.0, f"b-variance prefactor deviation {max(devs):.2e} (must be exactly 1)"
+        dev = np.max(devs)
+        return dev == 0.0, f"b-variance prefactor deviation {dev:.2e} (must be exactly 1)"
 
     # ---------------------------------------------------------------- filtering
 
     @check("filter unitarity over a frequency scan")
     def _():
-        worst = 0.0
-        for w in np.linspace(0.2e15, 3.0e15, 10_000):
-            tp = filters.lorentzian_transfer(float(w), 1.5e15, 2e13)
-            worst = max(worst, abs(abs(tp.T) ** 2 + abs(tp.R) ** 2 - 1.0))
+        pairs = [filters.lorentzian_transfer(float(w), 1.5e15, 2e13) for w in np.linspace(0.2e15, 3.0e15, 10_000)]
+        worst = np.max([abs(abs(tp.T) ** 2 + abs(tp.R) ** 2 - 1.0) for tp in pairs])
         return worst <= 1e-12, f"max ||T|^2+|R|^2 - 1| over 10^4 points = {worst:.2e}"
 
     @check("on-resonance transmission is exact")
@@ -360,7 +354,7 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
         half = filters.lorentzian_transfer(1.0, 0.0, 2.0)  # detuning = gamma/2: |T|^2 = 1/2
         out_half = filters.filtered_amplified_stats(half, a, c, 2, NumberStats(0.0, 0.0))
         bernoulli = abs(out_half.variance - 4.0 * 0.25)
-        err = max(exact, bernoulli)
+        err = np.max([exact, bernoulli])
         return err <= 1e-10, f"max |pipeline - oracle| = {err:.2e}"
 
     @check("reflected internal noise amplifies the background")

@@ -6,11 +6,12 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockamp import Mechanism, snr
+from fockamp import Mechanism, OperatorMatrix, channels, snr
 from fockamp.cli import main
 from fockamp.verify import VerifyConfig, run_checks
 
@@ -24,6 +25,14 @@ def run_cli(capsys, *argv):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def run_config(capsys, tmp_path, command, config, *argv):
+    """Run ``command`` on ``config``, writing tmp_path/out.csv: (exit code, CSV rows or None, stderr)."""
+    cfg, out_csv = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out_csv), *argv)
+    return code, read_rows(out_csv) if out_csv.exists() else None, err
 
 
 class TestVerifyCommand:
@@ -60,8 +69,54 @@ class TestVerifyCommand:
         (line,) = [l for l in out.splitlines() if "independent of the shift phase" in l]
         assert line.startswith("PASS")
 
+    def test_defaults_are_the_config_fields(self, capsys):
+        assert VerifyConfig() == VerifyConfig(gain=3.0, fixed_phase=0.0)
+        _, _, err = run_cli(capsys, "verify", "--cutoff", "4")
+        resolved = json.loads(err.splitlines()[0].split("resolved config: ", 1)[1])
+        assert resolved == {"cutoff": 4, "gain": 3.0, "seed": VerifyConfig().seed, "fixed_phase": 0.0}
+
+    def test_out_is_refused_by_the_parser(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("FOCKAMP_OUT_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--out", "x.csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out x.csv" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--out" not in capsys.readouterr().out
+
+    def test_summary_counts_the_passed_checks(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--cutoff", "4", "--gain", "4")
+        lines = out.splitlines()
+        verdicts = [l for l in lines if l.startswith(("PASS", "FAIL"))]
+        passed = sum(l.startswith("PASS") for l in verdicts)
+        assert code == 1 and 0 < passed < len(verdicts)
+        assert lines[-1] == f"{passed}/{len(verdicts)} checks passed"
+
+    def test_a_nan_deviation_fails_its_check(self, monkeypatch):
+        # Python's max(0.0, nan) is 0.0: a fold that drops a NaN would pass this check with the phase-0 figure
+        exact = channels.shift_operator
+
+        def nan_at_07(space, phase=0.0):
+            s = exact(space, phase)
+            return OperatorMatrix.from_bands(s.spaces, {k: np.nan for k in s.bands}) if phase == 0.7 else s
+
+        monkeypatch.setattr(channels, "shift_operator", nan_at_07)
+        (result,) = [r for r in run_checks() if r.name == "shift operator unitary"]
+        assert not result.passed
+        assert result.detail == "max |S^dag S - 1| = nan"
+
 
 class TestSnrTable:
+    def test_json_type_errors_name_the_expected_type(self, capsys, tmp_path):
+        for config, message in (({"grid": {"G": 2}}, "grid must be a JSON list"), ({"mechanisms": [5]}, "mechanism must be a JSON object")):
+            code, rows, err = run_config(capsys, tmp_path, "snr-table", config)
+            assert (code, rows) == (2, None)
+            assert message in err
+
     def test_single_mode_column(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mechanisms": [{"tag": "SingleMode"}], "grid": [10, 100], "n_a": 1, "dn_b": 1.0}))
@@ -115,6 +170,18 @@ class TestSnrTable:
 
 
 class TestMcCommand:
+    def test_empirical_reservoir_and_a_zero_error_bar(self, capsys, tmp_path):
+        # thermal(1e-3) over 2 trials draws two zeros: a sample variance of 0, below its target, with an error bar of 0
+        scenarios = [
+            {"model": "GModes", "G": 2, "n_a": 1, "reservoir": {"kind": "empirical", "probs": [0.5, 0.5]}},
+            {"model": "SingleMode", "G": 2, "n_a": 0, "reservoir": {"kind": "thermal", "nbar": 1e-3}, "trials": 2},
+        ]
+        code, rows, _ = run_config(capsys, tmp_path, "mc", {"scenarios": scenarios, "trials": 2000, "seed": 12345})
+        assert code == 0
+        assert (rows[0]["reservoir"], rows[0]["analytic_variance"]) == ("empirical(len=2)", "0.5")
+        assert abs(float(rows[0]["z_score"])) <= 4.0
+        assert (rows[1]["variance"], rows[1]["z_score"]) == ("0", "-inf")
+
     def test_z_scores_small_and_deterministic_row_exact(self, capsys, tmp_path):
         out_csv = tmp_path / "mc.csv"
         code, _, _ = run_cli(capsys, "mc", "--trials", "40000", "--out", str(out_csv))
@@ -157,6 +224,17 @@ class TestMcCommand:
 
 
 class TestFilterScan:
+    def test_hot_one_point_scan_matches_the_closed_form(self, capsys, tmp_path):
+        # about 1300 thermal quanta at omega_amp, so the background's mean and its variance nbar (nbar + 1) both show
+        config = {"points": 1, "omega_min": 1.49e15, "temperature": 1.0e4, "omega_amp": 1.0e12, "gain": 3, "n_a": 2}
+        code, rows, _ = run_config(capsys, tmp_path, "filter-scan", config)
+        assert code == 0
+        (row,) = rows
+        t2, r2, nbar = float(row["abs_T2"]), float(row["abs_R2"]), float(row["nbar_at_omega_amp"])
+        assert float(row["omega"]) == 1.49e15 and nbar > 1000
+        expected = 3 * t2 * 2 / math.sqrt(nbar * (nbar + 1.0) + 9 * t2 * r2 * 2)
+        assert float(row["snr_end_to_end"]) == pytest.approx(expected, rel=1e-12)
+
     def test_resonance_row_and_unitarity(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"omega_min": 1.0e15, "omega_max": 2.0e15, "points": 21, "omega0": 1.5e15}))
@@ -226,6 +304,24 @@ class TestFilterScan:
 
 
 class TestShelvingDemo:
+    def test_noiseless_reservoir_gives_infinite_snrs(self, capsys, tmp_path):
+        code, rows, _ = run_config(capsys, tmp_path, "shelving-demo", {"gain": 3, "nbar": 0, "trials": 10})
+        assert code == 0
+        assert [(r["variance"], r["snr_mc"], r["snr_analytic"]) for r in rows] == [("0", "inf", "inf")] * 3
+
+    def test_draw_bound_holds_at_its_edge(self, capsys, tmp_path, monkeypatch):
+        # 2 trials of G = 3 take G(G+1)/2 = 6 draw slots each: 12 draws pass a bound of 12 and exceed one of 11
+        monkeypatch.setattr("fockamp.cli.MAX_DRAWS", 12)
+        assert run_config(capsys, tmp_path, "shelving-demo", {"gain": 3, "trials": 2})[0] == 0
+        monkeypatch.setattr("fockamp.cli.MAX_DRAWS", 11)
+        code, _, err = run_config(capsys, tmp_path, "shelving-demo", {"gain": 3, "trials": 2})
+        assert code == 2
+        assert "2 trials of G(G+1)/2 = 6 draw slots exceed MAX_DRAWS = 11" in err
+        # the bound is integer arithmetic, so a gain whose G(G+1) is beyond the float range meets it too
+        code, _, err = run_config(capsys, tmp_path, "shelving-demo", {"gain": 10**400, "trials": 2})
+        assert code == 2
+        assert f"2 trials of G(G+1)/2 = {10**400 * (10**400 + 1) // 2} draw slots exceed MAX_DRAWS" in err
+
     def test_snr_rises_as_modes_drop(self, capsys, tmp_path):
         out_csv = tmp_path / "shelving.csv"
         code, out, _ = run_cli(capsys, "shelving-demo", "--trials", "30000", "--out", str(out_csv))
@@ -286,6 +382,13 @@ class TestDeterminismAndConfig:
         run_cli(capsys, command, *extra, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("command,extra", COMMANDS)
+    def test_summary_counts_the_rows_written(self, capsys, tmp_path, command, extra):
+        path = tmp_path / "rows.csv"
+        code, out, _ = run_cli(capsys, command, *extra, "--out", str(path))
+        assert code == 0
+        assert out == f"wrote {len(read_rows(path))} rows to {path}\n"
+
     def test_env_var_sets_output_directory(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FOCKAMP_OUT_DIR", str(tmp_path / "results"))
         code, out, _ = run_cli(capsys, "snr-table")
@@ -337,6 +440,8 @@ class TestDeterminismAndConfig:
         ("verify", json.dumps({"cutoff": -3}), []),
         ("verify", json.dumps({"fixed_phase": "x"}), []),
         ("verify", json.dumps({"fixed_phase": math.inf}), []),
+        ("verify", json.dumps({"gain": None}), []),  # the defaults are VerifyConfig's: 3.0 and 0.0, not null
+        ("verify", json.dumps({"fixed_phase": None}), []),
         ("snr-table", json.dumps({"n_a": 0}), []),
         ("snr-table", json.dumps({"dn_b": math.nan}), []),
         ("snr-table", json.dumps({"n_a": 1.5}), []),
@@ -363,6 +468,7 @@ class TestDeterminismAndConfig:
         # a cascade whose g**N would take terabytes to form, and a filtered variance G^2 * n_a beyond the float range
         ("mc", json.dumps({"scenarios": [{"model": "MultiStepSingle", "g": 2, "N": 10**12}]}), []),
         ("filter-scan", json.dumps({"n_a": 10**307}), []),
+        ("filter-scan", json.dumps({"gain": 10**200}), []),  # G^2 beyond the float range, where 2 G is not
         # a 400-digit integer in a float field of each command
         ("verify", json.dumps({"gain": 10**400}), []),
         ("snr-table", json.dumps({"dn_b": 10**400}), []),

@@ -691,6 +691,19 @@ class TestExactEstimators:
                 SampleStats(2, 0.0, variance, 0.0)
         assert SampleStats(2, 0.0, 0.0, 0.0).count == 2
 
+    @pytest.mark.parametrize(
+        "field,bad,why",
+        [
+            *(("mean", bad, "within the float range") for bad in (math.nan, math.inf, -math.inf)),
+            *(("std_error_of_variance", bad, "within the float range") for bad in (math.nan, math.inf)),
+            ("std_error_of_variance", -1.0, ">= 0"),
+        ],
+    )
+    def test_sample_stats_refuse_a_non_finite_mean_or_error_bar(self, field, bad, why):
+        fields = {"count": 2, "mean": 0.0, "variance": 0.0, "std_error_of_variance": 0.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be a real number {why}, got {bad}"):
+            SampleStats(**fields)
+
     def test_one_trial_run_is_refused(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a one-trial run is refused before any uniforms are drawn")
