@@ -61,16 +61,18 @@ def _typed(value, kind: type, what: str):
 
 
 def _out_path(cfg: dict, default_name: str) -> Path:
+    """The CSV's path, its parent made; a directory, or a parent that is a file, is refused before any run."""
     out = cfg["out"]
-    if out is None:
-        return Path(os.environ.get(OUT_DIR_ENV, ".")) / default_name
-    if not isinstance(out, str) or not out:
+    if out is not None and (not isinstance(out, str) or not out):
         raise ConfigError(f"out must be a non-empty path, got {out!r}")
-    return Path(out)
+    path = Path(os.environ.get(OUT_DIR_ENV, ".")) / default_name if out is None else Path(out)
+    if path.is_dir():
+        raise ConfigError(f"out must not name a directory, got {str(path)!r}")
+    path.parent.mkdir(parents=True, exist_ok=True)  # an OSError where a parent is a file
+    return path
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

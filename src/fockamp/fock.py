@@ -7,9 +7,10 @@ compute).  An operator is stored as its few nonzero diagonals on the number
 basis: ``from_bands`` builds every structured operator here and in
 ``channels`` from them, and ``@``, ``+``, ``-``, ``dagger`` and ``moments``
 work on them in O(side) per band.  Exact moments are the oracle the
-closed-form noise formulas are checked against.  ``.mat`` is the dense view:
-the tests rebuild each ``channels`` operator from the ladder matrices with
-``np.kron`` and ndarray ``@`` as the brute-force oracle.
+closed-form noise formulas are checked against.  Dense arrays cross only
+through ``OperatorMatrix(spaces, mat)`` and the ``.mat`` view: the tests
+rebuild each ``channels`` operator from the ladder matrices with ``np.kron``
+and ndarray ``@`` as the brute-force oracle.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ __all__ = [
     "annihilation",
     "number_op",
     "identity",
-    "tensor",
     "fock_state",
     "thermal_state",
     "moments",
@@ -252,13 +252,6 @@ def number_op(space: FockSpace) -> OperatorMatrix:
 
 def identity(space: FockSpace) -> OperatorMatrix:
     return OperatorMatrix.from_bands((space,), {0: 1.0})
-
-
-def tensor(*ops: OperatorMatrix) -> OperatorMatrix:
-    """Kronecker product, factor order preserved."""
-    if not ops:
-        raise ValueError("tensor() needs at least one operator")
-    return OperatorMatrix([sp for op in ops for sp in op.spaces], reduce(np.kron, [op.mat for op in ops]))
 
 
 def fock_state(space: FockSpace, n: int) -> DiagonalState:

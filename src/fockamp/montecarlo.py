@@ -307,11 +307,9 @@ def _power_sums(spec: ScenarioSpec, trial_offset: int, readouts: Optional[Sequen
                         draws *= w
                     x[t : t + len(draws)] += draws
                 lo = hi
-                if lo == points[readout] < points[-1]:  # the last readout waits for the work array's release
+                if lo == points[readout]:
                     _fold(x, sums[readout])
                     readout += 1
-        work = u = draws = None  # released before the last fold, which needs room of its own
-        _fold(x, sums[-1])
     return tuple(sums[0]) if readouts is None else [tuple(s) for s in sums]
 
 

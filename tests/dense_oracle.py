@@ -1,4 +1,4 @@
-"""Brute-force builds of the amplifier and filter operators from ladder matrices, Kronecker products and @.
+"""Brute-force builds of products and of the amplifier and filter operators, from ladder matrices, np.kron and @.
 
 ``fockamp.channels`` fills the few nonzero diagonals of each operator directly,
 and ``fockamp.filters`` gives the filtered count's moments in closed form.
@@ -9,10 +9,16 @@ transpose and ndarray ``@``.  Only the final array is wrapped in an
 They serve only as the oracle at small cutoffs.
 """
 import math
+from functools import reduce
 
 import numpy as np
 
 from fockamp import FockSpace, OperatorMatrix, TransferPair, annihilation, identity
+
+
+def tensor(*ops: OperatorMatrix) -> OperatorMatrix:
+    """Kronecker product of the factors' dense views, factor order kept, wrapped once."""
+    return OperatorMatrix([sp for op in ops for sp in op.spaces], reduce(np.kron, [op.mat for op in ops]))
 
 
 def _number_out(spaces: tuple, a_out: np.ndarray) -> OperatorMatrix:

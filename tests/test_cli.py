@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockamp import Mechanism, OperatorMatrix, channels, snr
+from fockamp import Mechanism, OperatorMatrix, channels, noise, snr
+from fockamp import cli
 from fockamp.cli import main
 from fockamp.verify import VerifyConfig, run_checks
 
@@ -108,6 +109,32 @@ class TestVerifyCommand:
         (result,) = [r for r in run_checks() if r.name == "shift operator unitary"]
         assert not result.passed
         assert result.detail == "max |S^dag S - 1| = nan"
+
+    # a linear-bound SNR replaced at one G, so the check's order breaks there alone: GModes > inf fails at G = 16,
+    # and the cascade's bound 0 at G = 2^5, which 2 N never reaches, fails there
+    @pytest.mark.parametrize("name,gain,value", [
+        ("SNR ordering: single mode, G modes, linear bound", 16, math.inf),
+        ("two-per-step cascade into modes trails the linear bound", 32, 0.0),
+    ])
+    def test_an_snr_order_broken_at_one_gain_fails_its_check(self, monkeypatch, name, gain, value):
+        exact = noise.snr
+
+        def broken_at_one_gain(mech, n_a, dn_b):
+            return value if (mech.tag, mech.gain_G) == ("PhaseInsensitive", gain) else exact(mech, n_a, dn_b)
+
+        monkeypatch.setattr(noise, "snr", broken_at_one_gain)
+        (result,) = [r for r in run_checks() if r.name == name]
+        assert not result.passed
+
+    def test_negative_seed_is_refused_before_any_check(self, capsys):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
+            VerifyConfig(seed=-1)
+        assert VerifyConfig(seed=0).seed == 0
+        code, out, err = run_cli(capsys, "verify", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err.splitlines()[1:] == [
+            "configuration error: invalid verify config (ValueError: seed must be an integer >= 0, got -1)"
+        ]
 
 
 class TestSnrTable:
@@ -395,6 +422,23 @@ class TestDeterminismAndConfig:
         assert code == 0
         assert (tmp_path / "results" / "snr_table.csv").exists()
 
+    @pytest.mark.parametrize("where", ["directory", "under a file", "default under a file"])
+    def test_bad_output_path_exits_before_the_run(self, capsys, tmp_path, monkeypatch, where):
+        def no_sampling(spec):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run_scenario", no_sampling)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("kept")
+        monkeypatch.setenv("FOCKAMP_OUT_DIR", str(tmp_path / "file"))
+        out = {"directory": ["--out", str(tmp_path / "dir")], "under a file": ["--out", str(tmp_path / "file" / "x.csv")]}
+        code, stdout, err = run_cli(capsys, "mc", *out.get(where, []))
+        assert code == 2 and stdout == ""
+        (line,) = err.splitlines()[1:]
+        assert line.startswith("configuration error: invalid mc config (")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
+        assert (tmp_path / "file").read_text() == "kept"
+
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trials": 1000, "seed": 1, "gain": 4, "nbar": 0.5}))
@@ -442,6 +486,7 @@ class TestDeterminismAndConfig:
         ("verify", json.dumps({"fixed_phase": math.inf}), []),
         ("verify", json.dumps({"gain": None}), []),  # the defaults are VerifyConfig's: 3.0 and 0.0, not null
         ("verify", json.dumps({"fixed_phase": None}), []),
+        ("verify", json.dumps({"seed": -1}), []),  # np.random.default_rng refuses a negative seed
         ("snr-table", json.dumps({"n_a": 0}), []),
         ("snr-table", json.dumps({"dn_b": math.nan}), []),
         ("snr-table", json.dumps({"n_a": 1.5}), []),
