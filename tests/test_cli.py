@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockamp import Mechanism, OperatorMatrix, channels, noise, snr
-from fockamp import cli
+from fockamp import Mechanism, OperatorMatrix, channels, cli, noise, snr
 from fockamp.cli import main
 from fockamp.verify import VerifyConfig, run_checks
 

@@ -6,7 +6,7 @@ from fockamp import channels, filters, fock, montecarlo, noise
 
 REPUBLISHED = (fock, channels, noise, montecarlo, filters)
 
-# the 44 names fockamp exported when its __init__ listed them a second time, by hand
+# the names fockamp exported when its __init__ listed them a second time, by hand, less the deleted "tensor"
 LISTED_BY_HAND = {
     "DiagonalState", "FockSpace", "NumberStats", "OperatorMatrix", "TruncationError", "annihilation",
     "check_truncation", "default_cutoff", "fock_state", "identity", "leakage", "moments", "number_op",
