@@ -2,8 +2,9 @@
 
 Each check exercises one contract of the operator algebra, the amplification
 channels, the closed-form noise expressions, or the filtering pipeline, and
-reports a measured figure alongside its verdict.  All checks are deterministic
-given the configured seed.
+returns a figure, its bound and a detail; ``run_checks`` alone decides PASS as
+figure <= bound, so a NaN, a crash or a truncation refusal fails.  A count of
+violations has bound 0.  All checks are deterministic given the configured seed.
 """
 from __future__ import annotations
 
@@ -38,6 +39,8 @@ __all__ = ["CheckResult", "VerifyConfig", "run_checks"]
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict: passed is figure <= bound, so a NaN figure, a crash or a truncation refusal fails."""
+
     name: str
     passed: bool
     detail: str
@@ -73,7 +76,7 @@ def _rel_err(value: float, reference: float) -> float:
 
 
 def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
-    checks: list[tuple[str, Callable[[], tuple[bool, str]]]] = []
+    checks: list[tuple[str, Callable[[], tuple[float, float, str]]]] = []
     rng = np.random.default_rng(cfg.seed)
     gain, g_int = cfg.gain, round(cfg.gain)  # the nearest integer gain, >= 1 since gain is
 
@@ -84,30 +87,29 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
 
     @check("ladder commutator pattern")
     def _():
-        sp = FockSpace(12)
-        a = annihilation(sp)
+        a = annihilation(FockSpace(12))
         dev = channels.check_pegg_barnett(channels.commutator(a, a.dagger()))
-        return dev <= channels.COMMUTATOR_TOL, f"max deviation {dev:.2e}"
+        return dev, channels.COMMUTATOR_TOL, f"max deviation {dev:.2e}"
 
     @check("number operator equals a^dag a")
     def _():
         sp = FockSpace(9)
         dev = np.max(np.abs((annihilation(sp).dagger() @ annihilation(sp)).mat - number_op(sp).mat))
-        return dev <= 1e-12, f"max deviation {dev:.2e}"
+        return dev, 1e-12, f"max deviation {dev:.2e}"
 
     @check("thermal state normalized and monotone")
     def _():
         states = [thermal_state(FockSpace(50), nbar) for nbar in (0.1, 0.7, 1.0, 3.5)]
         worst = np.max([abs(float(st.probs.sum()) - 1.0) for st in states])
-        ok = all(np.all(np.diff(st.probs) <= 0) for st in states)
-        return ok and worst <= 1e-12, f"worst |sum-1| {worst:.2e}"
+        monotone = all(np.all(np.diff(st.probs) <= 0) for st in states)
+        return worst if monotone else math.inf, 1e-12, f"worst |sum-1| {worst:.2e}"
 
     @check("thermal moments at large cutoff")
     def _():
         st = thermal_state(FockSpace(60), 1.0)
         stats = moments(st, number_op(st.space))
         err = np.max([abs(stats.mean - 1.0), abs(stats.variance - 2.0)])
-        return err <= 1e-9, f"max |error| {err:.2e}"
+        return err, 1e-9, f"max |error| {err:.2e}"
 
     @check("variance scaling under observable rescaling")
     def _():
@@ -116,8 +118,7 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
         base = moments(st, obs)
         scaled = moments(st, 2.5 * obs)
         err = abs(scaled.variance - 2.5**2 * base.variance)
-        ok = err <= 1e-10 * max(1.0, scaled.variance) and base.variance >= 0
-        return ok, f"|var(2.5 O) - 2.5^2 var(O)| = {err:.2e}"
+        return err, 1e-10 * max(1.0, scaled.variance), f"|var(2.5 O) - 2.5^2 var(O)| = {err:.2e}"
 
     @check("independent factors multiply expectations")
     def _():
@@ -127,13 +128,13 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
         f, g = OperatorMatrix.from_bands((sa,), {0: fv}), OperatorMatrix.from_bands((sb,), {0: gv})
         joint = moments([rho_a, rho_b], OperatorMatrix.from_bands((sa, sb), {0: np.kron(fv, gv)})).mean
         split = moments(rho_a, f).mean * moments(rho_b, g).mean
-        return abs(joint - split) <= 1e-10, f"|joint - product| = {abs(joint - split):.2e}"
+        return abs(joint - split), 1e-10, f"|joint - product| = {abs(joint - split):.2e}"
 
     @check("leakage shrinks as the cutoff grows")
     def _():
         leaks = [leakage(thermal_state(FockSpace(s), 1.0), 3) for s in (20, 30, 45, 60)]
-        ok = all(l2 < l1 for l1, l2 in zip(leaks, leaks[1:]))
-        return ok, f"top-3 leakage {leaks[0]:.1e} -> {leaks[-1]:.1e}"
+        rises = sum(not l2 < l1 for l1, l2 in zip(leaks, leaks[1:]))  # a NaN step counts as a rise
+        return rises, 0, f"top-3 leakage {leaks[0]:.1e} -> {leaks[-1]:.1e}"
 
     @check("operators on distinct factors commute")
     def _():
@@ -141,13 +142,13 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
         x = OperatorMatrix(shape, np.kron(rng.standard_normal((5, 5)), np.eye(4)))
         y = OperatorMatrix(shape, np.kron(np.eye(5), rng.standard_normal((4, 4))))
         dev = np.max(np.abs(channels.commutator(x, y).mat))
-        return dev <= 1e-12, f"max |[X x 1, 1 x Y]| = {dev:.2e}"
+        return dev, 1e-12, f"max |[X x 1, 1 x Y]| = {dev:.2e}"
 
     @check("truncation guard at configured cutoff")
     def _():
         sp = _thermal_space(1.0, gain, 2, cfg.cutoff)
         check_truncation(thermal_state(sp, 1.0))
-        return True, f"cutoff {sp.cutoff} passes the top-3 leakage guard"
+        return 0, 0, f"cutoff {sp.cutoff} passes the top-3 leakage guard"
 
     # ------------------------------------------------------------ amp channels
 
@@ -155,7 +156,7 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
     def _():
         shifts = [channels.shift_operator(FockSpace(24), phi).mat for phi in (0.0, 0.7, math.pi, 5.1)]
         worst = np.max([np.abs(s.conj().T @ s - np.eye(25)) for s in shifts])
-        return worst <= 1e-12, f"max |S^dag S - 1| = {worst:.2e}"
+        return worst, 1e-12, f"max |S^dag S - 1| = {worst:.2e}"
 
     @check("nonlinear output-number identity")
     def _():
@@ -166,14 +167,13 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
             target = OperatorMatrix.from_bands((sb, sa), {0: n_out})
             devs.append(np.max(np.abs((bout.dagger() @ bout).mat - target.mat)))
         worst = np.max(devs)
-        return worst <= 1e-12, f"max |b^dag b - (n_b + G n_a)| = {worst:.2e}"
+        return worst, 1e-12, f"max |b^dag b - (n_b + G n_a)| = {worst:.2e}"
 
     @check("truncated commutator, single-mode sector")
     def _():
-        sb = FockSpace(3)
-        bout = channels.nonlinear_bout(sb, FockSpace(0), 1, 0.0)
+        bout = channels.nonlinear_bout(FockSpace(3), FockSpace(0), 1, 0.0)
         dev = channels.check_pegg_barnett(channels.commutator(bout, bout.dagger()))
-        return dev <= channels.COMMUTATOR_TOL, f"max deviation from 1 - (s+1)|s><s| pattern: {dev:.2e}"
+        return dev, channels.COMMUTATOR_TOL, f"max deviation from 1 - (s+1)|s><s| pattern: {dev:.2e}"
 
     @check("truncated commutator, two-mode clean region")
     def _():
@@ -183,7 +183,7 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
         diag = np.real(np.diag(comm)).reshape(sb.dim, sa.dim)  # [b level, a level]
         clean = diag[: 30 - 2 * 2, :]
         dev = float(np.max(np.abs(clean - 1.0)))
-        return dev <= 1e-12, f"max |diag - 1| below level s_b - G*s_a: {dev:.2e}"
+        return dev, 1e-12, f"max |diag - 1| below level s_b - G*s_a: {dev:.2e}"
 
     @check("output moments independent of the shift phase")
     def _():
@@ -195,12 +195,12 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
             bout = channels.nonlinear_bout(sb, sa, 2, phi)
             results.append(moments(state, bout.dagger() @ bout))
         dev = np.max([abs(results[0].mean - results[1].mean), abs(results[0].variance - results[1].variance)])
-        return dev <= 1e-12, f"phases {phases[0]:.3f} vs {phases[1]:.3f}: max moment difference {dev:.2e}"
+        return dev, 1e-12, f"phases {phases[0]:.3f} vs {phases[1]:.3f}: max moment difference {dev:.2e}"
 
     @check("linear-gain coefficient identity")
     def _():
         worst = np.max([abs(math.sqrt(g) ** 2 - math.sqrt(g - 1.0) ** 2 - 1.0) for g in (1.0, 1.5, 2.0, 7.25, 100.0)])
-        return worst <= 1e-12, f"max |G - (G-1) - 1| = {worst:.2e}"
+        return worst, 1e-12, f"max |G - (G-1) - 1| = {worst:.2e}"
 
     @check("commutator is traceless")
     def _():
@@ -208,7 +208,7 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
         x = OperatorMatrix((FockSpace(d - 1),), rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
         y = OperatorMatrix((FockSpace(d - 1),), rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
         tr = abs(np.trace(channels.commutator(x, y).mat))
-        return tr <= 1e-10, f"|trace| = {tr:.2e}"
+        return tr, 1e-10, f"|trace| = {tr:.2e}"
 
     @check("idealized transfer map bookkeeping")
     def _():
@@ -221,15 +221,15 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
                             channels.ideal_schrodinger_map(n, m, nn, g_int)
                         except ValueError:
                             continue
-                        return False, f"inadmissible input (n={n}, M={m}) not rejected"
+                        return 1, 0, f"inadmissible input (n={n}, M={m}) not rejected"
                     rec = channels.ideal_schrodinger_map(n, m, nn, g_int)
                     if rec.M_out + rec.N_out != m + nn or rec.N_out - nn != g_int * n:
-                        return False, f"conservation violated at (n={n}, M={m}, N={nn})"
+                        return 1, 0, f"conservation violated at (n={n}, M={m}, N={nn})"
                     key = (rec.M_out, rec.N_out, rec.absorber_energy)
                     if key in seen:
-                        return False, f"output collision at (n={n}, M={m}, N={nn})"
+                        return 1, 0, f"output collision at (n={n}, M={m}, N={nn})"
                     seen.add(key)
-        return True, f"{len(seen)} admissible inputs map injectively, conserve M+N, reject M < G n"
+        return 0, 0, f"{len(seen)} admissible inputs map injectively, conserve M+N, reject M < G n"
 
     # ----------------------------------------------------------- moment oracles
 
@@ -242,7 +242,7 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
         mc = moments([rho_a, rho_b], channels.caves_number_out(sa, sb, gain))
         an = noise.var_caves(gain, rho_a.number_stats(), rho_b.number_stats())
         err = _rel_err(mc.variance, an)
-        return err <= 1e-8, f"relative error {err:.2e} at G = {gain:g}"
+        return err, 1e-8, f"relative error {err:.2e} at G = {gain:g}"
 
     @check("phase-sensitive variance matches the matrix oracle")
     def _():
@@ -252,7 +252,7 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
         mc = moments(rho_a, channels.phase_sensitive_number_out(sa, gain))
         an = noise.var_phase_sensitive(gain, rho_a.number_stats())
         err = _rel_err(mc.variance, an)
-        return err <= 1e-8, f"relative error {err:.2e} at G = {gain:g}"
+        return err, 1e-8, f"relative error {err:.2e} at G = {gain:g}"
 
     @check("single-mode variance exact through the operator identity")
     def _():
@@ -263,7 +263,7 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
         mc = moments([rho_b, rho_a], bout.dagger() @ bout)
         an = noise.var_single_mode(g_int, rho_a.number_stats(), rho_b.number_stats())
         err = abs(mc.variance - an)
-        return err <= 1e-12 * max(1.0, an), f"|matrix - closed form| = {err:.2e}"
+        return err, 1e-12 * max(1.0, an), f"|matrix - closed form| = {err:.2e}"
 
     # ------------------------------------------------------------- closed forms
 
@@ -277,41 +277,40 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
             abs(noise.var_multistep_multi(3, 3, a, b) - noise.var_g_modes(3, a, b)),
         ]
         err = np.max(errs)
-        return err <= 1e-12, f"max reduction error {err:.2e}"
+        return err, 1e-12, f"max reduction error {err:.2e}"
 
     @check("SNR ordering: single mode, G modes, linear bound")
     def _():
-        ok = True
+        broken = 0
         for g in (4, 16, 64, 256):
             sm = noise.snr(noise.Mechanism.single_mode(g), 1, 1.0)
             gm = noise.snr(noise.Mechanism.g_modes(g), 1, 1.0)
             pi = noise.snr(noise.Mechanism.phase_insensitive(g), 1, 1.0)
-            ok &= sm > gm > pi
-        return ok, "SingleMode > GModes > PhaseInsensitive on G in {4, 16, 64, 256}"
+            broken += not sm > gm > pi
+        return broken, 0, "SingleMode > GModes > PhaseInsensitive on G in {4, 16, 64, 256}"
 
     @check("two-per-step cascade into modes trails the linear bound")
     def _():
-        ok = True
+        broken = 0
         for n_steps in range(2, 11):
-            g_tot = 2**n_steps
             mm = noise.snr(noise.Mechanism.multistep_multi(2, n_steps), 1, 1.0)
-            pi = noise.snr(noise.Mechanism.phase_insensitive(g_tot), 1, 1.0)
-            ok &= mm < pi
-        return ok, "MultiStepMultiMode(g=2) < PhaseInsensitive for G = 2^N, N = 2..10"
+            pi = noise.snr(noise.Mechanism.phase_insensitive(2**n_steps), 1, 1.0)
+            broken += not mm < pi
+        return broken, 0, "MultiStepMultiMode(g=2) < PhaseInsensitive for G = 2^N, N = 2..10"
 
     @check("large-gain saturation of the linear SNRs")
     def _():
         pi = noise.snr(noise.Mechanism.phase_insensitive(1e4), 1, 1.0)
         ps = noise.snr(noise.Mechanism.phase_sensitive(1e4), 1, 1.0)
         err = np.max([abs(pi - 1.0), abs(ps - math.sqrt(2.0)) / math.sqrt(2.0)])
-        return err <= 0.01, f"max relative miss {err:.2e} at G = 1e4"
+        return err, 0.01, f"max relative miss {err:.2e} at G = 1e4"
 
     @check("reservoir-noise floor of single-mode amplification")
     def _():
         a = NumberStats(5.0, 0.0)
         devs = [abs(noise.var_single_mode(g, a, NumberStats(0.4, s2)) - s2) for g in (1, 7, 40) for s2 in (0.3, 1.0, 2.6)]
         dev = np.max(devs)
-        return dev == 0.0, f"b-variance prefactor deviation {dev:.2e} (must be exactly 1)"
+        return dev, 0.0, f"b-variance prefactor deviation {dev:.2e} (must be exactly 1)"
 
     # ---------------------------------------------------------------- filtering
 
@@ -319,19 +318,19 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
     def _():
         scan = (filters.lorentzian_transfer(float(w), 1.5e15, 2e13) for w in np.linspace(0.2e15, 3.0e15, 10_000))
         worst = np.max(np.fromiter((abs(abs(tp.T) ** 2 + abs(tp.R) ** 2 - 1.0) for tp in scan), float))
-        return worst <= 1e-12, f"max ||T|^2+|R|^2 - 1| over 10^4 points = {worst:.2e}"
+        return worst, 1e-12, f"max ||T|^2+|R|^2 - 1| over 10^4 points = {worst:.2e}"
 
     @check("on-resonance transmission is exact")
     def _():
         tp = filters.lorentzian_transfer(1.5e15, 1.5e15, 2e13)
-        return tp.T == 1.0 and tp.R == 0.0, f"T = {tp.T}, R = {tp.R}"
+        return np.max([abs(tp.T - 1.0), abs(tp.R)]), 0.0, f"T = {tp.T}, R = {tp.R}"
 
     @check("transmission falls monotonically off resonance")
     def _():
         det = np.linspace(0.0, 5e13, 40)
         t2 = [abs(filters.lorentzian_transfer(1.5e15 + d, 1.5e15, 2e13).T) ** 2 for d in det]
-        ok = all(b < a for a, b in zip(t2, t2[1:]))
-        return ok, f"|T|^2 spans {t2[0]:.3f} -> {t2[-1]:.3f}"
+        rises = sum(not b < a for a, b in zip(t2, t2[1:]))  # a NaN step counts as a rise
+        return rises, 0, f"|T|^2 spans {t2[0]:.3f} -> {t2[-1]:.3f}"
 
     @check("exponential suppression of thermal occupancy")
     def _():
@@ -341,7 +340,7 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
         slope = np.polyfit(omega, [math.log(filters.thermal_occupancy(w, temperature)) for w in omega], 1)[0]
         target = -filters.HBAR_OVER_K / temperature
         err = abs(slope - target) / abs(target)
-        return err <= 1e-6, f"log-slope relative error {err:.2e}"
+        return err, 1e-6, f"log-slope relative error {err:.2e}"
 
     @check("filter-then-amplify consistency")
     def _():
@@ -354,7 +353,7 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
         out_half = filters.filtered_amplified_stats(half, a, c, 2, NumberStats(0.0, 0.0))
         bernoulli = abs(out_half.variance - 4.0 * 0.25)
         err = np.max([exact, bernoulli])
-        return err <= 1e-10, f"max |pipeline - oracle| = {err:.2e}"
+        return err, 1e-10, f"max |pipeline - oracle| = {err:.2e}"
 
     @check("reflected internal noise amplifies the background")
     def _():
@@ -366,17 +365,17 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
         )
         tp = filters.lorentzian_transfer(1.0, 0.0, 2.0)
         leaky = filters.filtered_amplified_stats(tp, a, thermal_state(sc, 0.8).number_stats(), 6, b_env)
-        return leaky.variance > perfect.variance, (
+        return int(not leaky.variance > perfect.variance), 0, (
             f"variance {leaky.variance:.3f} (thermal internal mode) > {perfect.variance:.3f} (perfect filter)"
         )
 
     results = []
     for name, fn in checks:
         try:
-            passed, detail = fn()
+            figure, bound, detail = fn()
         except TruncationError as exc:  # an inadequate cutoff fails its check with the guard's message
-            passed, detail = False, str(exc)
+            figure, bound, detail = math.nan, 0, str(exc)
         except Exception as exc:  # a crashed check is a failed check
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, bool(passed), detail))
+            figure, bound, detail = math.nan, 0, f"raised {type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, bool(figure <= bound), detail))  # the one verdict rule; a NaN fails
     return results

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockamp import Mechanism, OperatorMatrix, channels, cli, noise, snr
+from fockamp import (
+    DiagonalState, FockSpace, Mechanism, NumberStats, OperatorMatrix, channels, cli, filters, noise, snr, verify,
+)
 from fockamp.cli import main
 from fockamp.verify import VerifyConfig, run_checks
 
@@ -109,21 +112,95 @@ class TestVerifyCommand:
         assert not result.passed
         assert result.detail == "max |S^dag S - 1| = nan"
 
-    # a linear-bound SNR replaced at one G, so the check's order breaks there alone: GModes > inf fails at G = 16,
-    # and the cascade's bound 0 at G = 2^5, which 2 N never reaches, fails there
-    @pytest.mark.parametrize("name,gain,value", [
-        ("SNR ordering: single mode, G modes, linear bound", 16, math.inf),
-        ("two-per-step cascade into modes trails the linear bound", 32, 0.0),
+    # one SNR replaced at one G, so the check's order breaks there alone: GModes > inf fails at G = 16, and the
+    # cascade's bound 0 at G = 2^5, which 2 N never reaches, fails there; an SNR equal to its neighbour's (a
+    # Mechanism in place of a value) fails each strict comparison of the order
+    @pytest.mark.parametrize("name,tag,gain,value", [
+        ("SNR ordering: single mode, G modes, linear bound", "PhaseInsensitive", 16, math.inf),
+        ("two-per-step cascade into modes trails the linear bound", "PhaseInsensitive", 32, 0.0),
+        ("SNR ordering: single mode, G modes, linear bound", "SingleMode", 16, Mechanism.g_modes(16)),
+        ("SNR ordering: single mode, G modes, linear bound", "GModes", 16, Mechanism.phase_insensitive(16)),
+        ("two-per-step cascade into modes trails the linear bound", "MultiStepMultiMode", 32, Mechanism.phase_insensitive(32)),
     ])
-    def test_an_snr_order_broken_at_one_gain_fails_its_check(self, monkeypatch, name, gain, value):
+    def test_an_snr_order_broken_at_one_gain_fails_its_check(self, monkeypatch, name, tag, gain, value):
         exact = noise.snr
 
         def broken_at_one_gain(mech, n_a, dn_b):
-            return value if (mech.tag, mech.gain_G) == ("PhaseInsensitive", gain) else exact(mech, n_a, dn_b)
+            if (mech.tag, mech.gain_G) != (tag, gain):
+                return exact(mech, n_a, dn_b)
+            return exact(value, n_a, dn_b) if isinstance(value, Mechanism) else value
 
         monkeypatch.setattr(noise, "snr", broken_at_one_gain)
         (result,) = [r for r in run_checks() if r.name == name]
         assert not result.passed
+
+    # the map admits M < G n; keeps M + N but delivers G n + 1 to N (only the second half of the
+    # conservation test trips); banks no energy, so |n=1, M=3, N=0> and |0, 0, 3> collide at default gain 3
+    @pytest.mark.parametrize("fault,detail", [
+        ("admits", "inadmissible input (n=1, M=0) not rejected"),
+        ("shifts", "conservation violated at (n=0, M=0, N=0)"),
+        ("banks none", "output collision at (n=1, M=3, N=0)"),
+    ])
+    def test_a_faulty_transfer_map_fails_its_check(self, monkeypatch, fault, detail):
+        exact = channels.ideal_schrodinger_map
+
+        def faulty(n, M, N, gain):
+            if fault == "admits":
+                return channels.IdealMapRecord(n, M - gain * n, N + gain * n, n)
+            rec = exact(n, M, N, gain)
+            if fault == "shifts":
+                return dataclasses.replace(rec, M_out=rec.M_out - 1, N_out=rec.N_out + 1)
+            return dataclasses.replace(rec, absorber_energy=0)
+
+        monkeypatch.setattr(channels, "ideal_schrodinger_map", faulty)
+        (result,) = [r for r in run_checks() if r.name == "idealized transfer map bookkeeping"]
+        assert not result.passed
+        assert result.detail == detail
+
+    def test_a_rising_thermal_pmf_fails_although_it_sums_to_one(self, monkeypatch):
+        exact = verify.thermal_state
+
+        def reversed_at_35(space, nbar):
+            st = exact(space, nbar)
+            return DiagonalState(space, st.probs[::-1]) if nbar == 3.5 else st
+
+        monkeypatch.setattr(verify, "thermal_state", reversed_at_35)
+        (result,) = [r for r in run_checks() if r.name == "thermal state normalized and monotone"]
+        assert not result.passed
+        assert result.detail.startswith("worst |sum-1| ")
+        assert float(result.detail.split()[-1]) <= 1e-12
+
+    # a figure that stops falling (or rising) fails a strict order: every leakage 0, every detuning on resonance,
+    # and the leaky filter's variance equal to the perfect one's
+    @pytest.mark.parametrize("name,module,attr,flat", [
+        ("leakage shrinks as the cutoff grows", verify, "leakage", lambda exact: lambda state, top_k: 0.0),
+        ("transmission falls monotonically off resonance", filters, "lorentzian_transfer",
+         lambda exact: lambda omega, omega0, gamma: exact(omega0, omega0, gamma)),
+        ("reflected internal noise amplifies the background", filters, "filtered_amplified_stats",
+         lambda exact: lambda tp, a, c, g, b: NumberStats(1.0, 1.0)),
+    ])
+    def test_a_tie_fails_a_strict_order(self, monkeypatch, name, module, attr, flat):
+        monkeypatch.setattr(module, attr, flat(getattr(module, attr)))
+        (result,) = [r for r in run_checks() if r.name == name]
+        assert not result.passed
+
+    # a figure inside its bound passes, also where that bound is relative: 5.25e-10 on a scaled variance of 9,
+    # 1.5e-12 on a closed form of about 2, a 0.85 % relative SNR miss (1.2e-2 absolute); and a thermal pmf whose
+    # tail underflows to exact zeros (nbar = 0.1 at cutoff 400) is still monotone
+    @pytest.mark.parametrize("name,module,attr,near", [
+        ("variance scaling under observable rescaling", verify, "moments",
+         lambda exact: lambda state, obs: (lambda r: NumberStats(r.mean, r.variance + 1e-10))(exact(state, obs))),
+        ("single-mode variance exact through the operator identity", noise, "var_single_mode",
+         lambda exact: lambda g, a, b: exact(g, a, b) + 1.5e-12),
+        ("large-gain saturation of the linear SNRs", noise, "snr",
+         lambda exact: lambda m, n_a, dn_b: exact(m, n_a, dn_b) * (1.0085 if m.tag == "PhaseSensitive" else 1.0)),
+        ("thermal state normalized and monotone", verify, "thermal_state",
+         lambda exact: lambda space, nbar: exact(FockSpace(400), nbar)),
+    ])
+    def test_a_figure_inside_its_bound_passes(self, monkeypatch, name, module, attr, near):
+        monkeypatch.setattr(module, attr, near(getattr(module, attr)))
+        (result,) = [r for r in run_checks() if r.name == name]
+        assert result.passed, result.detail
 
     def test_negative_seed_is_refused_before_any_check(self, capsys):
         with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
@@ -437,6 +514,15 @@ class TestDeterminismAndConfig:
         assert line.startswith("configuration error: invalid mc config (")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
         assert (tmp_path / "file").read_text() == "kept"
+
+    @pytest.mark.parametrize("out", [5, [], ""])
+    def test_an_out_that_is_not_a_non_empty_string_is_named(self, capsys, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)  # a path that is not refused writes nowhere but here
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": out}))
+        code, stdout, err = run_cli(capsys, "snr-table", "--config", str(cfg))
+        assert code == 2 and stdout == ""
+        assert f"out must be a non-empty path, got {out!r}" in err
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

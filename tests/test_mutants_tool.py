@@ -1,4 +1,4 @@
-"""tools/mutants.py: its operator sites, and the refusal of a module path outside src/."""
+"""tools/mutants.py: its operator sites, its tier-1 command line, and the refusal of a module path outside src/."""
 
 import importlib.util
 from pathlib import Path
@@ -42,3 +42,21 @@ def test_a_module_outside_src_is_refused_before_any_copy(module, monkeypatch):
     with pytest.raises(SystemExit) as exit_:
         mutants.main([module])
     assert exit_.value.code == 2
+
+
+def test_every_tier1_run_passes_the_one_hypothesis_seed(tmp_path, monkeypatch):
+    calls = []
+
+    class Finished:
+        def __init__(self, argv, **kwargs):
+            calls.append((argv, kwargs))
+
+        def wait(self, timeout=None):
+            return 0
+
+    monkeypatch.setattr(mutants.subprocess, "Popen", Finished)
+    assert mutants.run_tier1(tmp_path, 60) == "passed"
+    ((argv, kwargs),) = calls
+    assert f"--hypothesis-seed={mutants.HYPOTHESIS_SEED}" in argv
+    assert argv[1:4] == ["-m", "pytest", "-x"]
+    assert kwargs["cwd"] == tmp_path

@@ -8,12 +8,14 @@ and ``/``, ``//`` to ``/``, ``%`` and ``**`` to ``*``, ``and`` and ``or``, and
 so on), writes the module back with ``ast.unparse`` into a private copy of the
 repository, and runs tier-1 there with ``-x``.  A mutant whose run fails or
 takes over 4x the unmutated run is killed (a swap can make a loop endless); one
-whose run passes survives and is reported.  Up to 4 mutants run at once, one
-per CPU, each in its own copy.  The slow Monte Carlo sweep and the failure kept
-by design are deselected.  A site is its position in ``ast.walk`` order, plus the
-operator's index within a chained comparison: nested operators can share a line
-and column, but never that position.  Standard library only; exit code 1 when
-any mutant survives.
+whose run passes survives and is reported.  Every run, the unmutated one too,
+passes Hypothesis the one seed ``HYPOTHESIS_SEED``, so the property tests draw
+the same examples for every mutant and in every scan.  Up to 4 mutants run at
+once, one per CPU, each in its own copy.  The slow Monte Carlo sweep and the
+failure kept by design are deselected.  A site is its position in ``ast.walk``
+order, plus the operator's index within a chained comparison: nested operators
+can share a line and column, but never that position.  Standard library only;
+exit code 1 when any mutant survives.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ DESELECT = (
     "tests/test_acceptance.py::test_snr_hierarchy_across_mechanisms",  # fails by design (see README)
     "tests/test_acceptance.py::test_monte_carlo_matches_variance_formulas",  # slow
 )
+HYPOTHESIS_SEED = 0
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In,
@@ -81,9 +84,10 @@ def mutate(source: str, walk_index: int, op_index: int) -> str:
 
 
 def run_tier1(copy: Path, timeout: float) -> str:
-    """'passed', 'failed' or 'timeout' for tier-1 (-x, deselections applied) in ``copy``."""
+    """'passed', 'failed' or 'timeout' for tier-1 (-x, the fixed Hypothesis seed, deselections applied) in ``copy``."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *(f"--deselect={t}" for t in DESELECT)]
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", f"--hypothesis-seed={HYPOTHESIS_SEED}",
+            *(f"--deselect={t}" for t in DESELECT)]
     # a session of its own, so a timeout also ends the processes the tests start
     proc = subprocess.Popen(argv, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                             start_new_session=True)
