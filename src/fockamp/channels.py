@@ -141,10 +141,9 @@ class IdealMapRecord:
     """One application of the idealized reservoir-transfer map.
 
     ``absorber_energy`` is the energy taken up by the photon absorber, in units
-    of hbar*omega (i.e. the value is n); the input mode is left empty.
+    of hbar*omega; the input mode is left empty.
     """
 
-    n_in: int
     M_out: int
     N_out: int
     absorber_energy: int
@@ -160,4 +159,4 @@ def ideal_schrodinger_map(n: int, M: int, N: int, gain: int) -> IdealMapRecord:
     n, M, N = (_check_integer(value, name, 0) for name, value in (("n", n), ("M", M), ("N", N)))
     if M < g * n:
         raise ValueError(f"supply reservoir too small: M = {M} < G*n = {g * n}")
-    return IdealMapRecord(n_in=n, M_out=M - g * n, N_out=N + g * n, absorber_energy=n)
+    return IdealMapRecord(M_out=M - g * n, N_out=N + g * n, absorber_energy=n)

@@ -297,9 +297,7 @@ def moments(state: DiagonalState | Sequence[DiagonalState], observable: Operator
 def leakage(state: DiagonalState, top_k: int) -> float:
     """Total probability in the ``top_k`` highest number states."""
     top_k = _check_integer(top_k, "top_k (at most the dimension)", 0, state.space.dim)
-    if top_k == 0:
-        return 0.0
-    return float(state.probs[-top_k:].sum())
+    return float(state.probs[state.space.dim - top_k :].sum())
 
 
 def default_cutoff(n_b_mean: float, n_b_var: float, gain: float, n_a_max: int) -> int:
@@ -319,15 +317,12 @@ def default_cutoff(n_b_mean: float, n_b_var: float, gain: float, n_a_max: int) -
     return math.ceil(start)
 
 
-def check_truncation(*states: DiagonalState):
-    """Abort when any state leaks more than LEAKAGE_TOL into its top LEAKAGE_TOP_LEVELS levels."""
-    for st in states:
-        k = min(LEAKAGE_TOP_LEVELS, st.space.dim)
-        leak = leakage(st, k)
-        if leak > LEAKAGE_TOL:
-            raise TruncationError(
-                f"cutoff {st.space.cutoff} inadequate: top-{k} leakage {leak:.3e} exceeds {LEAKAGE_TOL:.0e}"
-            )
+def check_truncation(state: DiagonalState):
+    """Guard one state: abort when it leaks more than LEAKAGE_TOL into its top LEAKAGE_TOP_LEVELS levels."""
+    k = min(LEAKAGE_TOP_LEVELS, state.space.dim)
+    leak = leakage(state, k)
+    if leak > LEAKAGE_TOL:
+        raise TruncationError(f"cutoff {state.space.cutoff} inadequate: top-{k} leakage {leak:.3e} exceeds {LEAKAGE_TOL:.0e}")
 
 
 def settle_cutoff(build_state: Callable[[int], DiagonalState], start: int) -> int:

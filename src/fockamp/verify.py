@@ -17,6 +17,7 @@ import numpy as np
 from . import channels, filters, noise
 from .fock import (
     MAX_CUTOFF,
+    DiagonalState,
     FockSpace,
     NumberStats,
     OperatorMatrix,
@@ -63,12 +64,14 @@ class VerifyConfig:
         object.__setattr__(self, "seed", _check_integer(self.seed, "seed", 0))
 
 
-def _thermal_space(nbar: float, gain: float, n_a_max: int, override: Optional[int]) -> FockSpace:
-    """Cutoff from the heuristic (grown until the leakage guard passes), or the override."""
-    if override is not None:
-        return FockSpace(override)
-    start = default_cutoff(nbar, nbar * (nbar + 1.0), gain, n_a_max)
-    return FockSpace(settle_cutoff(lambda s: thermal_state(FockSpace(s), nbar), start))
+def _thermal(nbar: float, gain: float, n_a_max: int, cutoff: Optional[int]) -> DiagonalState:
+    """Guarded thermal state at ``cutoff``, or when it is None at the heuristic's, grown until the leakage guard passes."""
+    if cutoff is None:
+        start = default_cutoff(nbar, nbar * (nbar + 1.0), gain, n_a_max)
+        cutoff = settle_cutoff(lambda s: thermal_state(FockSpace(s), nbar), start)
+    state = thermal_state(FockSpace(cutoff), nbar)
+    check_truncation(state)
+    return state
 
 
 def _rel_err(value: float, reference: float) -> float:
@@ -146,8 +149,7 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
 
     @check("truncation guard at configured cutoff")
     def _():
-        sp = _thermal_space(1.0, gain, 2, cfg.cutoff)
-        check_truncation(thermal_state(sp, 1.0))
+        sp = _thermal(1.0, gain, 2, cfg.cutoff).space
         return 0, 0, f"cutoff {sp.cutoff} passes the top-3 leakage guard"
 
     # ------------------------------------------------------------ amp channels
@@ -235,31 +237,26 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
 
     @check("phase-insensitive variance matches the matrix oracle")
     def _():
-        sa = _thermal_space(0.0, gain, 1, cfg.cutoff)
-        sb = _thermal_space(0.6, gain, 1, cfg.cutoff)
-        rho_a, rho_b = fock_state(sa, 1), thermal_state(sb, 0.6)
-        check_truncation(rho_a, rho_b)
-        mc = moments([rho_a, rho_b], channels.caves_number_out(sa, sb, gain))
+        rho_a = fock_state(_thermal(0.0, gain, 1, cfg.cutoff).space, 1)  # a before b: fixes which refusal a low cutoff gets
+        check_truncation(rho_a)
+        rho_b = _thermal(0.6, gain, 1, cfg.cutoff)
+        mc = moments([rho_a, rho_b], channels.caves_number_out(rho_a.space, rho_b.space, gain))
         an = noise.var_caves(gain, rho_a.number_stats(), rho_b.number_stats())
         err = _rel_err(mc.variance, an)
         return err, 1e-8, f"relative error {err:.2e} at G = {gain:g}"
 
     @check("phase-sensitive variance matches the matrix oracle")
     def _():
-        sa = _thermal_space(0.6, gain, 2, cfg.cutoff)  # a reach of 2G, so a refusal names the gain as configured
-        rho_a = thermal_state(sa, 0.6)
-        check_truncation(rho_a)
-        mc = moments(rho_a, channels.phase_sensitive_number_out(sa, gain))
+        rho_a = _thermal(0.6, gain, 2, cfg.cutoff)  # a reach of 2G, so a refusal names the gain as configured
+        mc = moments(rho_a, channels.phase_sensitive_number_out(rho_a.space, gain))
         an = noise.var_phase_sensitive(gain, rho_a.number_stats())
         err = _rel_err(mc.variance, an)
         return err, 1e-8, f"relative error {err:.2e} at G = {gain:g}"
 
     @check("single-mode variance exact through the operator identity")
     def _():
-        sb, sa = _thermal_space(1.0, g_int, 2, cfg.cutoff), FockSpace(4)
-        rho_b, rho_a = thermal_state(sb, 1.0), fock_state(sa, 2)
-        check_truncation(rho_b)
-        bout = channels.nonlinear_bout(sb, sa, g_int, 0.0)
+        rho_b, rho_a = _thermal(1.0, g_int, 2, cfg.cutoff), fock_state(FockSpace(4), 2)
+        bout = channels.nonlinear_bout(rho_b.space, rho_a.space, g_int, 0.0)
         mc = moments([rho_b, rho_a], bout.dagger() @ bout)
         an = noise.var_single_mode(g_int, rho_a.number_stats(), rho_b.number_stats())
         err = abs(mc.variance - an)

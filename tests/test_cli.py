@@ -146,7 +146,7 @@ class TestVerifyCommand:
 
         def faulty(n, M, N, gain):
             if fault == "admits":
-                return channels.IdealMapRecord(n, M - gain * n, N + gain * n, n)
+                return channels.IdealMapRecord(M - gain * n, N + gain * n, n)
             rec = exact(n, M, N, gain)
             if fault == "shifts":
                 return dataclasses.replace(rec, M_out=rec.M_out - 1, N_out=rec.N_out + 1)
@@ -210,6 +210,24 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.splitlines()[1:] == [
             "configuration error: invalid verify config (ValueError: seed must be an integer >= 0, got -1)"
+        ]
+
+    # below the guard's reach every gain-dependent check reports the guard's refusal; at cutoff 0 the
+    # phase-insensitive check refuses its vacuum-settled a mode before it asks that space for Fock(1)
+    @pytest.mark.parametrize("cutoff,leaks", [
+        (3, ["top-3 leakage 4.667e-01", "top-3 leakage 1.000e+00", "top-3 leakage 3.624e-01", "top-3 leakage 4.667e-01"]),
+        (0, ["top-1 leakage 1.000e+00"] * 4),
+    ])
+    def test_the_gain_dependent_checks_report_the_guard_at_a_low_cutoff(self, cutoff, leaks):
+        names = [
+            "truncation guard at configured cutoff",
+            "phase-insensitive variance matches the matrix oracle",
+            "phase-sensitive variance matches the matrix oracle",
+            "single-mode variance exact through the operator identity",
+        ]
+        results = {r.name: r for r in run_checks(VerifyConfig(cutoff=cutoff))}
+        assert [(results[n].passed, results[n].detail) for n in names] == [
+            (False, f"cutoff {cutoff} inadequate: {leak} exceeds 1e-10") for leak in leaks
         ]
 
 
@@ -455,6 +473,19 @@ def test_default_outputs_are_pinned(capsys, tmp_path, monkeypatch):
         assert run_cli(capsys, command)[0] == 0, command
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DEFAULT_OUTPUT_SHA256}
     assert digests == DEFAULT_OUTPUT_SHA256
+
+
+# sha256 over run_checks' names, verdicts and details on a grid of non-default gains and cutoffs, which
+# reaches the guard's refusals, the integer-gain rounding and the huge-gain refusals that the default run does not
+VERIFY_GRID_SHA256 = "184fa298b554122c9df508b5503829c4f30f1ac578e671057377da92ee3529e1"
+
+
+def test_verify_grid_is_pinned():
+    h = hashlib.sha256()
+    for gain, cutoff in itertools.product((1, 2.5, 7, 1e15), (None, 1, 3, 4, 12)):
+        cfg = dict(gain=gain, cutoff=cutoff)
+        h.update(repr((cfg, [(r.name, r.passed, r.detail) for r in run_checks(VerifyConfig(**cfg))])).encode())
+    assert h.hexdigest() == VERIFY_GRID_SHA256
 
 
 def _in_each_float_field(value):

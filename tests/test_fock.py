@@ -329,6 +329,9 @@ class TestLeakage:
     def test_vacuum_and_top_fock(self):
         assert leakage(fock_state(FockSpace(5), 0), 1) == 0.0
         assert leakage(fock_state(FockSpace(5), 5), 1) == 1.0
+        st = thermal_state(FockSpace(5), 1.0)
+        assert leakage(st, 0) == 0.0
+        assert leakage(st, st.space.dim) == 1.0
 
     def test_thermal_tail_oracle(self):
         st = thermal_state(FockSpace(60), 1.0)
