@@ -57,8 +57,9 @@ def lorentzian_transfer(omega: float, omega0: float, gamma: float) -> TransferPa
     """
     omega, omega0 = _check_real(omega, "frequency"), _check_real(omega0, "resonance frequency")
     gamma = _check_real(gamma, "linewidth", 0, strict=True)
-    denom = 1j * (omega - omega0) + gamma / 2.0
-    return TransferPair(omega, complex((gamma / 2.0) / denom), complex(1j * (omega - omega0) / denom))
+    half = _check_real(gamma / 2.0, "half the linewidth", 0, strict=True)  # 0.0 for the subnormal 5e-324
+    denom = 1j * (omega - omega0) + half
+    return TransferPair(omega, complex(half / denom), complex(1j * (omega - omega0) / denom))
 
 
 def thermal_occupancy(omega: float, temperature: float) -> float:

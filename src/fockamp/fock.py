@@ -86,6 +86,14 @@ def _check_real(value, name: str, minimum: Optional[float] = None, strict: bool 
     return float(value)
 
 
+def _check_numbers(value, name: str) -> np.ndarray:
+    """The one numeric-array check: ``value`` as an array of numbers; str, None (which a cast reads as nan) and objects raise ValueError."""
+    values = np.asarray(value)
+    if values.dtype.kind not in "biufc":
+        raise ValueError(f"{name} must be numbers, got {value!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class FockSpace:
     """Number-state space truncated at occupation ``cutoff`` (dimension cutoff+1)."""
@@ -120,7 +128,7 @@ class OperatorMatrix:
     __slots__ = ("spaces", "dim", "bands")
 
     def __init__(self, spaces: Sequence[FockSpace], mat):
-        spaces, mat = tuple(spaces), np.asarray(mat, dtype=complex)
+        spaces, mat = tuple(spaces), np.asarray(_check_numbers(mat, "matrix entries"), dtype=complex)
         side = _dense_side(spaces)
         if mat.shape != (side, side):
             raise ValueError(f"matrix shape {mat.shape} does not match factor dimensions (side {side})")
@@ -142,8 +150,8 @@ class OperatorMatrix:
         spaces = tuple(spaces)
         side, full = _dense_side(spaces), {}
         for k, v in bands.items():
-            values = np.asarray(v)  # the assignment below would read None as nan, "1" as 1 and a (1, n) array as a vector
-            if values.ndim > 1 or values.dtype.kind not in "biufc":
+            values = _check_numbers(v, f"band {k}")
+            if values.ndim > 1:  # the assignment below would read a (1, n) array as a vector
                 raise ValueError(f"band {k} must be a number or a vector of numbers, got {v!r}")
             band = full[k] = np.empty(max(side - abs(k), 0), dtype=complex)  # a copy: never the caller's array
             band[:] = values
@@ -205,7 +213,7 @@ class DiagonalState:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=float)  # a copy, frozen below
+        probs = np.array(_check_numbers(self.probs, "probabilities"), dtype=float)  # a copy, frozen below
         if probs.shape != (self.space.dim,):
             raise ValueError(f"probability vector length {probs.shape} does not match dimension {self.space.dim}")
         if not np.all(np.isfinite(probs)):
@@ -294,10 +302,9 @@ def moments(state: DiagonalState | Sequence[DiagonalState], observable: Operator
     return NumberStats(mean, max(second - mean * mean, 0.0))
 
 
-def leakage(state: DiagonalState, top_k: int) -> float:
-    """Total probability in the ``top_k`` highest number states."""
-    top_k = _check_integer(top_k, "top_k (at most the dimension)", 0, state.space.dim)
-    return float(state.probs[state.space.dim - top_k :].sum())
+def leakage(state: DiagonalState) -> float:
+    """Total probability in the LEAKAGE_TOP_LEVELS highest number states: all of it in a space of fewer levels."""
+    return float(state.probs[-LEAKAGE_TOP_LEVELS:].sum())
 
 
 def default_cutoff(n_b_mean: float, n_b_var: float, gain: float, n_a_max: int) -> int:
@@ -320,7 +327,7 @@ def default_cutoff(n_b_mean: float, n_b_var: float, gain: float, n_a_max: int) -
 def check_truncation(state: DiagonalState):
     """Guard one state: abort when it leaks more than LEAKAGE_TOL into its top LEAKAGE_TOP_LEVELS levels."""
     k = min(LEAKAGE_TOP_LEVELS, state.space.dim)
-    leak = leakage(state, k)
+    leak = leakage(state)
     if leak > LEAKAGE_TOL:
         raise TruncationError(f"cutoff {state.space.cutoff} inadequate: top-{k} leakage {leak:.3e} exceeds {LEAKAGE_TOL:.0e}")
 
@@ -331,7 +338,7 @@ def settle_cutoff(build_state: Callable[[int], DiagonalState], start: int) -> in
     if s > MAX_CUTOFF:  # refused before any state is built, as there is no cutoff to search
         raise TruncationError(f"start {_shown(start)} is above MAX_CUTOFF = {MAX_CUTOFF}: no cutoff to search")
     while s <= MAX_CUTOFF:
-        if leakage(build_state(s), LEAKAGE_TOP_LEVELS) <= LEAKAGE_TOL:
+        if leakage(build_state(s)) <= LEAKAGE_TOL:
             return s
         s = max(s + 8, int(1.5 * s))
     raise TruncationError(f"no adequate cutoff at or below {MAX_CUTOFF}")

@@ -73,10 +73,10 @@ def _gain_fields(name: str, cascade: bool, G, g, N) -> tuple[int, Optional[int],
 
 @dataclass(frozen=True)
 class Mechanism:
-    """Amplification mechanism label with its validated gain parameters.
+    """Amplification mechanism ``Mechanism(tag, G, g, N)`` with its validated gain parameters.
 
-    Only the cascades carry a step gain and a step count; the other tags have
-    ``step_gain_g = steps_N = None``.
+    Only the cascades carry a step gain g and a step count N, and may leave G out;
+    the other tags have ``step_gain_g = steps_N = None``.
     """
 
     tag: str
@@ -93,30 +93,6 @@ class Mechanism:
             structure = _gain_fields(self.tag, self.tag in _MULTISTEP, self.gain_G, self.step_gain_g, self.steps_N)
         for name, value in zip(("gain_G", "step_gain_g", "steps_N"), structure):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def phase_insensitive(cls, gain: float) -> "Mechanism":
-        return cls("PhaseInsensitive", gain)
-
-    @classmethod
-    def phase_sensitive(cls, gain: float) -> "Mechanism":
-        return cls("PhaseSensitive", gain)
-
-    @classmethod
-    def single_mode(cls, gain: int) -> "Mechanism":
-        return cls("SingleMode", gain)
-
-    @classmethod
-    def g_modes(cls, gain: int) -> "Mechanism":
-        return cls("GModes", gain)
-
-    @classmethod
-    def multistep_single(cls, step_gain: int, steps: int) -> "Mechanism":
-        return cls("MultiStepSingleMode", None, step_gain, steps)
-
-    @classmethod
-    def multistep_multi(cls, step_gain: int, steps: int) -> "Mechanism":
-        return cls("MultiStepMultiMode", None, step_gain, steps)
 
 
 def _in_float_range(formula):

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import channels, filters, noise
 from .fock import (
+    LEAKAGE_TOP_LEVELS,
     MAX_CUTOFF,
     DiagonalState,
     FockSpace,
@@ -135,9 +136,9 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
 
     @check("leakage shrinks as the cutoff grows")
     def _():
-        leaks = [leakage(thermal_state(FockSpace(s), 1.0), 3) for s in (20, 30, 45, 60)]
+        leaks = [leakage(thermal_state(FockSpace(s), 1.0)) for s in (20, 30, 45, 60)]
         rises = sum(not l2 < l1 for l1, l2 in zip(leaks, leaks[1:]))  # a NaN step counts as a rise
-        return rises, 0, f"top-3 leakage {leaks[0]:.1e} -> {leaks[-1]:.1e}"
+        return rises, 0, f"top-{LEAKAGE_TOP_LEVELS} leakage {leaks[0]:.1e} -> {leaks[-1]:.1e}"
 
     @check("operators on distinct factors commute")
     def _():
@@ -150,7 +151,7 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
     @check("truncation guard at configured cutoff")
     def _():
         sp = _thermal(1.0, gain, 2, cfg.cutoff).space
-        return 0, 0, f"cutoff {sp.cutoff} passes the top-3 leakage guard"
+        return 0, 0, f"cutoff {sp.cutoff} passes the top-{LEAKAGE_TOP_LEVELS} leakage guard"
 
     # ------------------------------------------------------------ amp channels
 
@@ -280,9 +281,9 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
     def _():
         broken = 0
         for g in (4, 16, 64, 256):
-            sm = noise.snr(noise.Mechanism.single_mode(g), 1, 1.0)
-            gm = noise.snr(noise.Mechanism.g_modes(g), 1, 1.0)
-            pi = noise.snr(noise.Mechanism.phase_insensitive(g), 1, 1.0)
+            sm = noise.snr(noise.Mechanism("SingleMode", g), 1, 1.0)
+            gm = noise.snr(noise.Mechanism("GModes", g), 1, 1.0)
+            pi = noise.snr(noise.Mechanism("PhaseInsensitive", g), 1, 1.0)
             broken += not sm > gm > pi
         return broken, 0, "SingleMode > GModes > PhaseInsensitive on G in {4, 16, 64, 256}"
 
@@ -290,15 +291,15 @@ def run_checks(cfg: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
     def _():
         broken = 0
         for n_steps in range(2, 11):
-            mm = noise.snr(noise.Mechanism.multistep_multi(2, n_steps), 1, 1.0)
-            pi = noise.snr(noise.Mechanism.phase_insensitive(2**n_steps), 1, 1.0)
+            mm = noise.snr(noise.Mechanism("MultiStepMultiMode", None, 2, n_steps), 1, 1.0)
+            pi = noise.snr(noise.Mechanism("PhaseInsensitive", 2**n_steps), 1, 1.0)
             broken += not mm < pi
         return broken, 0, "MultiStepMultiMode(g=2) < PhaseInsensitive for G = 2^N, N = 2..10"
 
     @check("large-gain saturation of the linear SNRs")
     def _():
-        pi = noise.snr(noise.Mechanism.phase_insensitive(1e4), 1, 1.0)
-        ps = noise.snr(noise.Mechanism.phase_sensitive(1e4), 1, 1.0)
+        pi = noise.snr(noise.Mechanism("PhaseInsensitive", 1e4), 1, 1.0)
+        ps = noise.snr(noise.Mechanism("PhaseSensitive", 1e4), 1, 1.0)
         err = np.max([abs(pi - 1.0), abs(ps - math.sqrt(2.0)) / math.sqrt(2.0)])
         return err, 0.01, f"max relative miss {err:.2e} at G = 1e4"
 

@@ -212,11 +212,11 @@ def test_snr_hierarchy_across_mechanisms():
     failures = []
     rows = []
     for gain in (4, 16, 64, 256):
-        sm = snr(Mechanism.single_mode(gain), 1, 1.0)
+        sm = snr(Mechanism("SingleMode", gain), 1, 1.0)
         mss = snr(Mechanism("MultiStepSingleMode", gain, 2), 1, 1.0)
-        gm = snr(Mechanism.g_modes(gain), 1, 1.0)
+        gm = snr(Mechanism("GModes", gain), 1, 1.0)
         msm = snr(Mechanism("MultiStepMultiMode", gain, 2), 1, 1.0)
-        pi = snr(Mechanism.phase_insensitive(gain), 1, 1.0)
+        pi = snr(Mechanism("PhaseInsensitive", gain), 1, 1.0)
         rows.append(f"G={gain}: SM={sm:.4g} MSS={mss:.4g} GM={gm:.4g} MSM={msm:.4g} PI={pi:.4g}")
         for label, holds in (
             (f"SingleMode > MultiStepSingle(g=2) at G={gain}", sm > mss),
@@ -235,8 +235,8 @@ def test_linear_snr_saturation():
     """Linear SNRs saturate: bound -> n_a/dn_b and sqrt(2) n_a within 1% at G = 1e4."""
     worst = 0.0
     for n_a, dn_b in ((1, 1.0), (3, 0.5)):
-        pi = snr(Mechanism.phase_insensitive(1e4), n_a, dn_b)
-        ps = snr(Mechanism.phase_sensitive(1e4), n_a, dn_b)
+        pi = snr(Mechanism("PhaseInsensitive", 1e4), n_a, dn_b)
+        ps = snr(Mechanism("PhaseSensitive", 1e4), n_a, dn_b)
         worst = max(
             worst,
             abs(pi - n_a / dn_b) / (n_a / dn_b),

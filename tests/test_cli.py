@@ -118,9 +118,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("name,tag,gain,value", [
         ("SNR ordering: single mode, G modes, linear bound", "PhaseInsensitive", 16, math.inf),
         ("two-per-step cascade into modes trails the linear bound", "PhaseInsensitive", 32, 0.0),
-        ("SNR ordering: single mode, G modes, linear bound", "SingleMode", 16, Mechanism.g_modes(16)),
-        ("SNR ordering: single mode, G modes, linear bound", "GModes", 16, Mechanism.phase_insensitive(16)),
-        ("two-per-step cascade into modes trails the linear bound", "MultiStepMultiMode", 32, Mechanism.phase_insensitive(32)),
+        ("SNR ordering: single mode, G modes, linear bound", "SingleMode", 16, Mechanism("GModes", 16)),
+        ("SNR ordering: single mode, G modes, linear bound", "GModes", 16, Mechanism("PhaseInsensitive", 16)),
+        ("two-per-step cascade into modes trails the linear bound", "MultiStepMultiMode", 32, Mechanism("PhaseInsensitive", 32)),
     ])
     def test_an_snr_order_broken_at_one_gain_fails_its_check(self, monkeypatch, name, tag, gain, value):
         exact = noise.snr
@@ -173,7 +173,7 @@ class TestVerifyCommand:
     # a figure that stops falling (or rising) fails a strict order: every leakage 0, every detuning on resonance,
     # and the leaky filter's variance equal to the perfect one's
     @pytest.mark.parametrize("name,module,attr,flat", [
-        ("leakage shrinks as the cutoff grows", verify, "leakage", lambda exact: lambda state, top_k: 0.0),
+        ("leakage shrinks as the cutoff grows", verify, "leakage", lambda exact: lambda state: 0.0),
         ("transmission falls monotonically off resonance", filters, "lorentzian_transfer",
          lambda exact: lambda omega, omega0, gamma: exact(omega0, omega0, gamma)),
         ("reflected internal noise amplifies the background", filters, "filtered_amplified_stats",
@@ -652,7 +652,7 @@ class TestDeterminismAndConfig:
         ("snr-table", json.dumps({"grid": [{"G": 2}]}), []),
         ("snr-table", json.dumps({"grid": [True]}), []),
         ("snr-table", json.dumps({"grid": {"G": 2}}), []),
-        # filter-scan: no points, a table that is not a path, an occupancy beyond the float range
+        # filter-scan: no points, a table that is not a path, an occupancy beyond the float range, a linewidth too narrow
         ("filter-scan", json.dumps({"points": 0}), []),
         ("filter-scan", json.dumps({"table": ""}), []),
         ("filter-scan", json.dumps({"table": []}), []),
@@ -660,6 +660,7 @@ class TestDeterminismAndConfig:
         ("filter-scan", json.dumps({"table": False}), []),
         ("filter-scan", json.dumps({"omega_amp": 1e-320}), []),
         ("filter-scan", json.dumps({"omega_amp": 1e-300}), []),
+        ("filter-scan", json.dumps({"gamma": 5e-324}), []),  # half the linewidth rounds to 0: the default scan hits omega0
         # one trial has no variance to estimate; a verify cutoff above MAX_CUTOFF
         ("mc", "{}", ["--trials", "1"]),
         ("mc", json.dumps({"scenarios": [{"model": "SingleMode", "G": 2, "trials": 1}]}), []),

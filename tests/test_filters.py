@@ -64,6 +64,11 @@ class TestTransferPair:
     def test_linewidth_validation(self):
         with pytest.raises(ValueError):
             lorentzian_transfer(1.0, 1.0, 0.0)
+        for omega in (1.0, 0.0):  # 5e-324 / 2 rounds to 0: a division by zero on resonance, T exactly 0 off it
+            with pytest.raises(ValueError, match="half the linewidth"):
+                lorentzian_transfer(omega, 1.0, 5e-324)
+        tp = lorentzian_transfer(1.0, 1.0, 1e-323)  # the narrowest linewidth with a nonzero half
+        assert (tp.T, tp.R) == (1.0 + 0j, 0j)
 
 
 class TestFilteredOperator:

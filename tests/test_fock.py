@@ -88,6 +88,8 @@ class TestEmbed:
     def test_empty_product_and_mismatched_matrix_are_refused(self):
         with pytest.raises(ValueError, match="does not match factor dimensions"):
             OperatorMatrix((FockSpace(1), FockSpace(2)), np.eye(5))
+        with pytest.raises(ValueError, match="matrix entries must be numbers"):
+            OperatorMatrix((FockSpace(4),), np.full((5, 5), "1"))  # a cast would read an all-ones matrix
 
 
 def _band_values(draw, length):
@@ -276,6 +278,8 @@ class TestStates:
             DiagonalState(FockSpace(2), np.array([1.2, -0.2, 0.0]))
         with pytest.raises(ValueError):
             DiagonalState(FockSpace(3), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="probabilities must be numbers"):
+            DiagonalState(FockSpace(1), ["0.5", "0.5"])  # a cast would read the strings as 0.5
         with pytest.raises(ValueError, match="nonnegative"):
             NumberStats(1.0, -0.5)
         assert NumberStats(1.0, -1e-9).variance == 0.0  # a rounding-size negative variance, down to -1e-9, reads as 0
@@ -327,25 +331,22 @@ class TestMoments:
 
 class TestLeakage:
     def test_vacuum_and_top_fock(self):
-        assert leakage(fock_state(FockSpace(5), 0), 1) == 0.0
-        assert leakage(fock_state(FockSpace(5), 5), 1) == 1.0
-        st = thermal_state(FockSpace(5), 1.0)
-        assert leakage(st, 0) == 0.0
-        assert leakage(st, st.space.dim) == 1.0
+        assert leakage(fock_state(FockSpace(5), 0)) == 0.0
+        assert leakage(fock_state(FockSpace(5), 5)) == 1.0
+        assert leakage(fock_state(FockSpace(5), 3)) == 1.0  # level 3 is the lowest of the top three of 0..5
+        assert leakage(fock_state(FockSpace(5), 2)) == 0.0
+        st = thermal_state(FockSpace(1), 1.0)  # a space of fewer than 3 levels gives its whole mass
+        assert leakage(st) == float(st.probs.sum()) and leakage(fock_state(FockSpace(1), 0)) == 1.0
 
     def test_thermal_tail_oracle(self):
         st = thermal_state(FockSpace(60), 1.0)
         probs, _, _ = truncated_geometric(1.0, 60)
-        oracle_tail = sum(probs[-5:])
-        assert abs(leakage(st, 5) - oracle_tail) <= 1e-18
-        assert leakage(st, 5) < 1e-12
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            leakage(fock_state(FockSpace(5), 0), 7)
+        oracle_tail = sum(probs[-3:])  # the guard's top 3 levels, 58..60
+        assert abs(leakage(st) - oracle_tail) <= 1e-18
+        assert leakage(st) < 1e-12
 
     def test_monotone_in_cutoff(self):
-        leaks = [leakage(thermal_state(FockSpace(s), 1.0), 3) for s in (20, 32, 48, 64)]
+        leaks = [leakage(thermal_state(FockSpace(s), 1.0)) for s in (20, 32, 48, 64)]
         assert all(b < a for a, b in zip(leaks, leaks[1:]))
 
 
@@ -385,7 +386,7 @@ class TestCutoffPolicy:
             probs[0], probs[-1] = 1.0 - LEAKAGE_TOL, LEAKAGE_TOL
             return DiagonalState(FockSpace(s), probs)
 
-        assert leakage(build(3), 3) == LEAKAGE_TOL
+        assert leakage(build(3)) == LEAKAGE_TOL
         check_truncation(build(3))
         assert settle_cutoff(build, 3) == 3
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockamp import (
+    MECHANISM_TAGS,
     FockSpace,
     Mechanism,
     NumberStats,
@@ -106,14 +107,27 @@ class TestMechanism:
         with pytest.raises(ValueError, match="MultiStepMultiMode requires a step gain g"):
             Mechanism("MultiStepMultiMode", 8)
 
-    def test_constructors_fill_steps(self):
-        m = Mechanism.multistep_multi(2, 5)
-        assert (m.gain_G, m.step_gain_g, m.steps_N) == (32, 2, 5)
+    # Mechanism(tag, G, g, N) is the one constructor: linear gains read as floats, nonlinear ones as ints, and a
+    # cascade fills whichever of G and N it is not given
+    FIELDS = {
+        "PhaseInsensitive": ((2,), (2.0, None, None)),
+        "PhaseSensitive": ((2.5,), (2.5, None, None)),
+        "SingleMode": ((4.0,), (4, None, None)),
+        "GModes": ((9,), (9, None, None)),
+        "MultiStepSingleMode": ((27, 3), (27, 3, 3)),
+        "MultiStepMultiMode": ((None, 2, 5), (32, 2, 5)),
+    }
+
+    @pytest.mark.parametrize("tag", MECHANISM_TAGS)
+    def test_constructors_fill_steps(self, tag):
+        args, fields = self.FIELDS[tag]
+        m = Mechanism(tag, *args)
+        assert repr((m.gain_G, m.step_gain_g, m.steps_N)) == repr(fields)  # repr tells 2 from 2.0
 
     def test_integer_gain_for_nonlinear_tags(self):
         with pytest.raises(ValueError):
-            Mechanism.single_mode(2.5)
-        Mechanism.phase_insensitive(2.5)  # linear gains stay real
+            Mechanism("SingleMode", 2.5)
+        Mechanism("PhaseInsensitive", 2.5)  # linear gains stay real
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
@@ -122,45 +136,45 @@ class TestMechanism:
 
 class TestSnr:
     def test_point_values(self):
-        assert snr(Mechanism.single_mode(100), 1, 1.0) == 100.0
-        assert snr(Mechanism.g_modes(100), 1, 1.0) == 10.0
-        assert snr(Mechanism.phase_sensitive(2.0), 1, 1.0) == pytest.approx(1.5, abs=1e-15)
+        assert snr(Mechanism("SingleMode", 100), 1, 1.0) == 100.0
+        assert snr(Mechanism("GModes", 100), 1, 1.0) == 10.0
+        assert snr(Mechanism("PhaseSensitive", 2.0), 1, 1.0) == pytest.approx(1.5, abs=1e-15)
 
     def test_phase_insensitive_saturates(self):
-        value = snr(Mechanism.phase_insensitive(1e6), 1, 1.0)
+        value = snr(Mechanism("PhaseInsensitive", 1e6), 1, 1.0)
         assert value == pytest.approx(1.000001, rel=1e-9)
 
     def test_infinite_sentinels(self):
-        assert snr(Mechanism.phase_insensitive(1.0), 1, 1.0) == math.inf
-        assert snr(Mechanism.phase_sensitive(1.0), 1, 1.0) == math.inf
-        assert snr(Mechanism.single_mode(5), 1, 0.0) == math.inf
-        assert snr(Mechanism.g_modes(5), 2, 0.0) == math.inf
+        assert snr(Mechanism("PhaseInsensitive", 1.0), 1, 1.0) == math.inf
+        assert snr(Mechanism("PhaseSensitive", 1.0), 1, 1.0) == math.inf
+        assert snr(Mechanism("SingleMode", 5), 1, 0.0) == math.inf
+        assert snr(Mechanism("GModes", 5), 2, 0.0) == math.inf
 
     def test_phase_sensitive_ignores_reservoir_noise(self):
-        m = Mechanism.phase_sensitive(3.0)
+        m = Mechanism("PhaseSensitive", 3.0)
         assert snr(m, 2, 0.5) == snr(m, 2, 10.0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            snr(Mechanism.single_mode(2), 0, 1.0)
+            snr(Mechanism("SingleMode", 2), 0, 1.0)
         with pytest.raises(ValueError):
-            snr(Mechanism.single_mode(2), 1, -0.1)
+            snr(Mechanism("SingleMode", 2), 1, -0.1)
         with pytest.raises(ValueError):
-            snr(Mechanism.single_mode(2), math.nan, 1.0)
+            snr(Mechanism("SingleMode", 2), math.nan, 1.0)
         # a quotient n_a / dn_b beyond the float range is refused; inf is kept for the dn_b = 0 sentinel
         with pytest.raises(ValueError, match="beyond the float range"):
-            snr(Mechanism.single_mode(2), 1, 1e-320)
+            snr(Mechanism("SingleMode", 2), 1, 1e-320)
 
     def test_single_mode_quotient_of_an_int_signal_beyond_floats(self):
         # G * n_a = 10**600 no float holds, but the SNR 10**600 / 1e300 does: it is the exact quotient, rounded once
-        value = snr(Mechanism.single_mode(10**300), 10**300, 1e300)
+        value = snr(Mechanism("SingleMode", 10**300), 10**300, 1e300)
         assert value == float(Fraction(10**600) / Fraction(1e300))
         with pytest.raises(ValueError, match="beyond the float range"):
-            snr(Mechanism.single_mode(10**300), 10**300, 1.0)
+            snr(Mechanism("SingleMode", 10**300), 10**300, 1.0)
 
     def test_multistep_values(self):
-        assert snr(Mechanism.multistep_single(2, 2), 1, 1.0) == pytest.approx(4 * math.sqrt(3) / math.sqrt(15))
-        assert snr(Mechanism.multistep_multi(2, 2), 1, 1.0) == pytest.approx(2 / math.sqrt(3))
+        assert snr(Mechanism("MultiStepSingleMode", None, 2, 2), 1, 1.0) == pytest.approx(4 * math.sqrt(3) / math.sqrt(15))
+        assert snr(Mechanism("MultiStepMultiMode", None, 2, 2), 1, 1.0) == pytest.approx(2 / math.sqrt(3))
 
 
 def _exact_root(square: Fraction) -> float:
@@ -194,8 +208,8 @@ class TestSnrAgainstExactOracle:
         big_g = g**n
         exact = {
             # (g^2 - 1) G^2 / (G^2 - 1) and G (g - 1) / (G - 1)
-            Mechanism.multistep_single(g, n): Fraction((g * g - 1) * big_g * big_g, big_g * big_g - 1),
-            Mechanism.multistep_multi(g, n): Fraction(big_g * (g - 1), big_g - 1),
+            Mechanism("MultiStepSingleMode", None, g, n): Fraction((g * g - 1) * big_g * big_g, big_g * big_g - 1),
+            Mechanism("MultiStepMultiMode", None, g, n): Fraction(big_g * (g - 1), big_g - 1),
         }
         for mech, square in exact.items():
             value = snr(mech, 1, 1.0)
@@ -209,7 +223,7 @@ class TestSnrAgainstExactOracle:
     @example(gain=1.0 + 2.0**-52)
     def test_phase_sensitive(self, gain):
         big_g = Fraction(gain)
-        value = snr(Mechanism.phase_sensitive(gain), 1, 1.0)
+        value = snr(Mechanism("PhaseSensitive", gain), 1, 1.0)
         assert math.isfinite(value)
         assert value == pytest.approx(_exact_root((2 * big_g - 1) ** 2 / (2 * big_g * (big_g - 1))), rel=1e-12)
 
@@ -219,9 +233,9 @@ class TestSnrAgainstExactOracle:
         n_a, g, n = 3, 2, 3
         big_g = g**n
         exact = {
-            Mechanism.g_modes(big_g): Fraction(big_g),
-            Mechanism.multistep_single(g, n): Fraction((g * g - 1) * big_g * big_g, big_g * big_g - 1),
-            Mechanism.multistep_multi(g, n): Fraction(big_g * (g - 1), big_g - 1),
+            Mechanism("GModes", big_g): Fraction(big_g),
+            Mechanism("MultiStepSingleMode", None, g, n): Fraction((g * g - 1) * big_g * big_g, big_g * big_g - 1),
+            Mechanism("MultiStepMultiMode", None, g, n): Fraction(big_g * (g - 1), big_g - 1),
         }
         for mech, square in exact.items():  # each SNR squared is the n_a = dn_b = 1 square times (n_a / dn_b)^2
             expected = _exact_root(square * n_a**2 / Fraction(dn_b) ** 2)
@@ -231,16 +245,16 @@ class TestSnrAgainstExactOracle:
 class TestOrderings:
     @pytest.mark.parametrize("gain", [4, 16, 64, 256])
     def test_single_mode_beats_g_modes_beats_linear(self, gain):
-        sm = snr(Mechanism.single_mode(gain), 1, 1.0)
-        gm = snr(Mechanism.g_modes(gain), 1, 1.0)
-        pi = snr(Mechanism.phase_insensitive(gain), 1, 1.0)
+        sm = snr(Mechanism("SingleMode", gain), 1, 1.0)
+        gm = snr(Mechanism("GModes", gain), 1, 1.0)
+        pi = snr(Mechanism("PhaseInsensitive", gain), 1, 1.0)
         assert sm > gm > pi
 
     @pytest.mark.parametrize("steps", range(2, 11))
     def test_two_per_step_multimode_trails_linear_bound(self, steps):
         gain = 2**steps
-        assert snr(Mechanism.multistep_multi(2, steps), 1, 1.0) < snr(
-            Mechanism.phase_insensitive(gain), 1, 1.0
+        assert snr(Mechanism("MultiStepMultiMode", None, 2, steps), 1, 1.0) < snr(
+            Mechanism("PhaseInsensitive", gain), 1, 1.0
         )
 
     @pytest.mark.parametrize("step_gain", [2, 4, 8])
@@ -249,21 +263,21 @@ class TestOrderings:
         # N >= 2 both cascade variants sit at or below the flat G-mode spread,
         # and the multi-mode cascade is always the noisier of the two
         gain = 64
-        sm = snr(Mechanism.single_mode(gain), 1, 1.0)
-        gm = snr(Mechanism.g_modes(gain), 1, 1.0)
+        sm = snr(Mechanism("SingleMode", gain), 1, 1.0)
+        gm = snr(Mechanism("GModes", gain), 1, 1.0)
         mss = snr(Mechanism("MultiStepSingleMode", gain, step_gain), 1, 1.0)
         msm = snr(Mechanism("MultiStepMultiMode", gain, step_gain), 1, 1.0)
         assert sm >= gm >= mss >= msm
 
     def test_one_step_cascades_recover_the_envelopes(self):
-        assert snr(Mechanism.multistep_single(7, 1), 1, 1.0) == snr(Mechanism.single_mode(7), 1, 1.0)
-        assert snr(Mechanism.multistep_multi(7, 1), 1, 1.0) == pytest.approx(
-            snr(Mechanism.g_modes(7), 1, 1.0), rel=1e-15
+        assert snr(Mechanism("MultiStepSingleMode", None, 7, 1), 1, 1.0) == snr(Mechanism("SingleMode", 7), 1, 1.0)
+        assert snr(Mechanism("MultiStepMultiMode", None, 7, 1), 1, 1.0) == pytest.approx(
+            snr(Mechanism("GModes", 7), 1, 1.0), rel=1e-15
         )
 
     def test_large_gain_limits(self):
-        assert snr(Mechanism.phase_insensitive(1e4), 1, 1.0) == pytest.approx(1.0, rel=0.01)
-        assert snr(Mechanism.phase_sensitive(1e4), 1, 1.0) == pytest.approx(math.sqrt(2), rel=0.01)
+        assert snr(Mechanism("PhaseInsensitive", 1e4), 1, 1.0) == pytest.approx(1.0, rel=0.01)
+        assert snr(Mechanism("PhaseSensitive", 1e4), 1, 1.0) == pytest.approx(math.sqrt(2), rel=0.01)
 
 
 class TestMatrixOracleAgreement:
