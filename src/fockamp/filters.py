@@ -58,8 +58,11 @@ def lorentzian_transfer(omega: float, omega0: float, gamma: float) -> TransferPa
     omega, omega0 = _check_real(omega, "frequency"), _check_real(omega0, "resonance frequency")
     gamma = _check_real(gamma, "linewidth", 0, strict=True)
     half = _check_real(gamma / 2.0, "half the linewidth", 0, strict=True)  # 0.0 for the subnormal 5e-324
-    denom = 1j * (omega - omega0) + half
-    return TransferPair(omega, complex(half / denom), complex(1j * (omega - omega0) / denom))
+    detuning = omega - omega0
+    if abs(detuning) == math.inf:  # one comparison: verify's scan calls this 10**4 times per run
+        raise ValueError(f"the detuning of frequency {omega!r} from resonance frequency {omega0!r} is beyond the float range")
+    denom = 1j * detuning + half
+    return TransferPair(omega, complex(half / denom), complex(1j * detuning / denom))
 
 
 def thermal_occupancy(omega: float, temperature: float) -> float:

@@ -213,7 +213,10 @@ class DiagonalState:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(_check_numbers(self.probs, "probabilities"), dtype=float)  # a copy, frozen below
+        probs = _check_numbers(self.probs, "probabilities")
+        if probs.dtype.kind == "c":  # the float cast below would drop the imaginary parts
+            raise ValueError(f"probabilities must be real, got {self.probs!r}")
+        probs = np.array(probs, dtype=float)  # a copy, frozen below
         if probs.shape != (self.space.dim,):
             raise ValueError(f"probability vector length {probs.shape} does not match dimension {self.space.dim}")
         if not np.all(np.isfinite(probs)):

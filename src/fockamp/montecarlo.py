@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -89,24 +89,31 @@ def _uniforms(seed: int, slots, start: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReservoirSpec:
-    """Occupation-number law of one reservoir mode."""
+    """Occupation-number law of one reservoir mode: its moments, label and largest draw are worked out once, here."""
 
     kind: str  # "fock" | "thermal" | "empirical"
     n: int = 0
     nbar: float = 0.0
     probs: Optional[tuple] = None
+    stats: NumberStats = field(init=False, repr=False, compare=False)
+    label: str = field(init=False, repr=False, compare=False)
+    _max_draw: int = field(init=False, repr=False, compare=False)  # the largest count one draw can return
 
     def __post_init__(self):
         if self.kind == "fock":
-            object.__setattr__(self, "n", _check_integer(self.n, "fock occupation", 0))
+            n = _check_integer(self.n, "fock occupation (at most 2**63 - 1, as every draw is an int64)", 0, 2**63 - 1)
+            self.__dict__.update(n=n, stats=NumberStats(float(n), 0.0), label=f"fock({n})", _max_draw=n)  # past the frozen __setattr__
         elif self.kind == "thermal":
-            object.__setattr__(self, "nbar", _check_real(self.nbar, "thermal mean", 0))
-            if self.nbar / (self.nbar + 1.0) == 1.0:
-                raise ValueError(f"thermal mean {self.nbar} too large: q = nbar/(nbar+1) rounds to 1")
+            nbar = _check_real(self.nbar, "thermal mean", 0)
+            q = nbar / (nbar + 1.0)
+            if q == 1.0:
+                raise ValueError(f"thermal mean {nbar} too large: q = nbar/(nbar+1) rounds to 1")
+            top = math.floor(math.log(2.0**-53) / math.log(q)) if nbar else 0  # a uniform is at most 1 - 2**-53
+            self.__dict__.update(nbar=nbar, stats=NumberStats(nbar, nbar * (nbar + 1.0)), label=f"thermal({nbar:g})", _max_draw=top)
         elif self.kind == "empirical":
             probs = tuple(_check_real(p, "empirical probability", 0) for p in self.probs)
-            DiagonalState(FockSpace(max(len(probs) - 1, 0)), probs)  # the one sum check, which .stats meets again
-            object.__setattr__(self, "probs", probs)
+            state = DiagonalState(FockSpace(max(len(probs) - 1, 0)), probs)  # the one sum check
+            self.__dict__.update(probs=probs, stats=state.number_stats(), label=f"empirical(len={len(probs)})", _max_draw=len(probs) - 1)
         else:
             raise ValueError(f"unknown reservoir kind {self.kind!r}")
 
@@ -123,33 +130,8 @@ class ReservoirSpec:
         return cls("empirical", probs=probs)
 
     @property
-    def stats(self) -> NumberStats:
-        if self.kind == "fock":
-            return NumberStats(float(self.n), 0.0)
-        if self.kind == "thermal":
-            return NumberStats(self.nbar, self.nbar * (self.nbar + 1.0))
-        return DiagonalState(FockSpace(len(self.probs) - 1), self.probs).number_stats()
-
-    @property
-    def _max_draw(self) -> int:
-        """Largest count one draw can return (a uniform is at most 1 - 2**-53)."""
-        if self.kind == "fock":
-            return self.n
-        if self.kind == "empirical":
-            return len(self.probs) - 1
-        return math.floor(math.log(2.0**-53) / math.log(self.nbar / (self.nbar + 1.0))) if self.nbar else 0
-
-    @property
     def _draw_free(self) -> bool:  # every draw is _max_draw: a Fock law, thermal(0) or a one-level empirical law
         return self.kind == "fock" or self._max_draw == 0
-
-    @property
-    def label(self) -> str:
-        if self.kind == "fock":
-            return f"fock({self.n})"
-        if self.kind == "thermal":
-            return f"thermal({self.nbar:g})"
-        return f"empirical(len={len(self.probs)})"
 
     def _draw_block(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Draws for the uniforms ``u``, written into ``out`` (int64, u's shape) when given; a thermal law overwrites u."""
@@ -202,6 +184,7 @@ class ScenarioSpec:
     steps_N: Optional[int] = None
     cavity_mode_count: Optional[int] = None
     mode_budget: Optional[int] = None
+    _classes: tuple = field(init=False, repr=False, compare=False)  # (w, m): m independent draws of weight w, in slot order
 
     def __post_init__(self):
         if self.model not in MC_MODELS:
@@ -214,12 +197,26 @@ class ScenarioSpec:
         structure = _gain_fields(self.model, self.model in _CASCADES, self.gain_G, self.step_gain_g, self.steps_N)
         for name, value in zip(("gain_G", "step_gain_g", "steps_N"), structure):
             object.__setattr__(self, name, value)
-        if self.model == "Shelving":
-            _check_integer(self.cavity_mode_count, "cavity_mode_count (in [1, G])", 1, self.gain_G)
-        if self.model == "Multiplexed":
+        if self.model in _CASCADES:
+            # Step n feeds g**n fresh modes (one in the single-mode cascade) whose
+            # noise the remaining N-n steps amplify by g**(N-n); the multi-mode
+            # readout sums the g**N last-step modes.
+            g, n_steps = self.step_gain_g, self.steps_N
+            classes = tuple((g ** (n_steps - n), g**n if self.model == "MultiStepMulti" else 1) for n in range(1, n_steps + 1))
+        elif self.model == "SingleMode":
+            classes = ((1, 1),)
+        elif self.model == "GModes":
+            classes = ((1, self.gain_G),)
+        elif self.model == "Multiplexed":
             budget = self.mode_budget if self.mode_budget is not None else self.input_n_a
             object.__setattr__(self, "mode_budget", _check_integer(budget, "mode_budget (at least input_n_a)", self.input_n_a))
-        classes = _weight_classes(self)
+            classes = ((1, self.gain_G * self.mode_budget),)
+        else:
+            # Shelving: G fluorescence quanta per absorbed photon spread over the
+            # cavity modes; each mode carries one independent reservoir draw, so one
+            # mode reproduces SingleMode and G modes reproduce GModes, bitwise.
+            classes = ((1, _check_integer(self.cavity_mode_count, "cavity_mode_count (in [1, G])", 1, self.gain_G)),)
+        object.__setattr__(self, "_classes", classes)
         peak = self.gain_G * self.input_n_a + self.reservoir._max_draw * sum(m * w for w, m in classes)
         if peak >= 2**63:
             raise ValueError(f"a trial can count up to {peak} excitations, beyond the int64 range")
@@ -230,33 +227,13 @@ class ScenarioSpec:
             raise ValueError(f"the run needs {draws} reservoir draws (trials * draw slots), above MAX_DRAWS = {MAX_DRAWS}")
 
 
-def _weight_classes(spec: ScenarioSpec) -> list[tuple[int, int]]:
-    """(w, m) pairs in draw-slot order: m independent reservoir draws enter each trial with weight w."""
-    if spec.model in _CASCADES:
-        # Step n feeds g**n fresh modes (one in the single-mode cascade) whose
-        # noise the remaining N-n steps amplify by g**(N-n); the multi-mode
-        # readout sums the g**N last-step modes.
-        g, n_steps = spec.step_gain_g, spec.steps_N
-        return [(g ** (n_steps - n), g**n if spec.model == "MultiStepMulti" else 1) for n in range(1, n_steps + 1)]
-    if spec.model == "SingleMode":
-        return [(1, 1)]
-    if spec.model == "GModes":
-        return [(1, spec.gain_G)]
-    if spec.model == "Multiplexed":
-        return [(1, spec.gain_G * spec.mode_budget)]
-    # Shelving: G fluorescence quanta per absorbed photon spread over the
-    # cavity modes; each mode carries one independent reservoir draw, so one
-    # mode reproduces SingleMode and G modes reproduce GModes, bitwise.
-    return [(1, spec.cavity_mode_count)]
-
-
 def analytic_variance(spec: ScenarioSpec) -> float:
     """Closed-form output variance at fixed n_a: sum(m * w^2) * var_b over the weight classes.
 
     Each independent reservoir draw enters with its integer weight w.  The
     per-mechanism formulas in ``noise`` are the independent check on this sum.
     """
-    return sum(m * w * w for w, m in _weight_classes(spec)) * spec.reservoir.stats.variance
+    return sum(m * w * w for w, m in spec._classes) * spec.reservoir.stats.variance
 
 
 def _fold(x: np.ndarray, sums: list) -> None:
@@ -275,13 +252,12 @@ def _power_sums(spec: ScenarioSpec, trial_offset: int, readouts: Optional[Sequen
     """
     # trial indices lie in [0, 2**64); a draw-free spec of more trials runs at offset 0 alone
     trial_offset = _check_integer(trial_offset, "trial_offset (at most 2**64 - trials)", 0, max(2**64 - spec.trials, 0))
-    classes = _weight_classes(spec)
     signal = spec.gain_G * spec.input_n_a
-    points = [sum(m for _, m in classes)] if readouts is None else list(readouts)
+    points = [sum(m for _, m in spec._classes)] if readouts is None else list(readouts)
     if spec.reservoir._draw_free:
         # every draw is _max_draw, so after k slots every trial counts the same c: the signal plus that many weights
-        firsts = list(itertools.accumulate((m for _, m in classes), initial=0))
-        weights = (sum(w * min(m, max(k - f, 0)) for (w, m), f in zip(classes, firsts)) for k in points)
+        firsts = list(itertools.accumulate((m for _, m in spec._classes), initial=0))
+        weights = (sum(w * min(m, max(k - f, 0)) for (w, m), f in zip(spec._classes, firsts)) for k in points)
         counts = [signal + spec.reservoir._max_draw * weight for weight in weights]
         sums = [tuple(spec.trials * c**p for p in range(1, 5)) for c in counts]
         return sums[0] if readouts is None else sums
@@ -293,7 +269,7 @@ def _power_sums(spec: ScenarioSpec, trial_offset: int, readouts: Optional[Sequen
         lo, readout = 0, 0  # the next draw slot, and the next readout
         span = min(count, _TILE)  # a tile holds _TILE // span slots of span trials each
         work = np.empty((2, _TILE // span, span), dtype=np.uint64)  # the generator's tile, reused by every tile
-        for w, m in classes:
+        for w, m in spec._classes:
             top = lo + m  # a class's slots follow its predecessors' in draw-slot order
             while lo < top:  # tiles of at most _TILE // span slots, each ending by the next readout
                 hi = min(lo + _TILE // span, top, points[readout])

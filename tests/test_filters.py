@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,14 @@ class TestTransferPair:
                 lorentzian_transfer(omega, 1.0, 5e-324)
         tp = lorentzian_transfer(1.0, 1.0, 1e-323)  # the narrowest linewidth with a nonzero half
         assert (tp.T, tp.R) == (1.0 + 0j, 0j)
+
+    @pytest.mark.parametrize("omega, omega0", [(1e308, -1e308), (-1e308, 1e308)])
+    def test_overflowing_detuning_names_both_frequencies(self, omega, omega0):
+        with pytest.raises(ValueError, match=re.escape(f"detuning of frequency {omega!r} from resonance frequency {omega0!r}")):
+            lorentzian_transfer(omega, omega0, 1.0)
+        detuning = omega / 2 - omega0 / 2  # +-1e308, finite: the amplitudes keep the single-pole form's bits
+        tp = lorentzian_transfer(omega / 2, omega0 / 2, 1.0)
+        assert (tp.T, tp.R) == (complex(0.5 / (1j * detuning + 0.5)), complex(1j * detuning / (1j * detuning + 0.5)))
 
 
 class TestFilteredOperator:

@@ -280,6 +280,8 @@ class TestStates:
             DiagonalState(FockSpace(3), np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="probabilities must be numbers"):
             DiagonalState(FockSpace(1), ["0.5", "0.5"])  # a cast would read the strings as 0.5
+        with pytest.raises(ValueError, match="probabilities must be real"):
+            DiagonalState(FockSpace(1), [0.5 + 1j, 0.5])  # a cast would drop the imaginary part
         with pytest.raises(ValueError, match="nonnegative"):
             NumberStats(1.0, -0.5)
         assert NumberStats(1.0, -1e-9).variance == 0.0  # a rounding-size negative variance, down to -1e-9, reads as 0

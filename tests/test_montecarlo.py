@@ -3,7 +3,7 @@ import json
 import math
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from unittest import mock
 
@@ -182,6 +182,17 @@ class TestReservoirSpec:
         assert ReservoirSpec.fock(2).label == "fock(2)"
         assert ReservoirSpec.thermal(0.5).label == "thermal(0.5)"
 
+    @pytest.mark.parametrize("n", [2**63, 10**400], ids=["2**63", "10**400"])
+    def test_fock_occupation_beyond_int64_is_refused(self, n):
+        # every draw is an int64: 2**63 overflowed the draws, 10**400 the float mean
+        with pytest.raises(ValueError, match=r"fock occupation \(at most 2\*\*63 - 1"):
+            ReservoirSpec.fock(n)
+
+    def test_largest_fock_occupation_is_drawn(self):
+        spec = ReservoirSpec.fock(2**63 - 1)
+        assert reservoir_draws(spec, 3, seed=1).tolist() == [2**63 - 1] * 3
+        assert spec.stats == NumberStats(float(2**63 - 1), 0.0)
+
     def test_thermal_sampler_moments(self):
         # oracle: geometric law has mean nbar and variance nbar*(nbar+1)
         draws = reservoir_draws(ReservoirSpec.thermal(1.0), 1_000_000, seed=99)
@@ -237,6 +248,76 @@ class TestReservoirSpec:
         expected = count * pmf
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi2 <= chi2_upper(pmf.size - 1), (chi2, pmf.size - 1)
+
+
+def derived_facts(spec):
+    """What a spec works out at construction: a scenario's weight classes and its reservoir's facts."""
+    if isinstance(spec, ScenarioSpec):
+        return spec._classes, derived_facts(spec.reservoir)
+    return spec.stats, spec.label, spec._max_draw
+
+
+def init_fields(spec):
+    return {f.name: getattr(spec, f.name) for f in fields(spec) if f.init}
+
+
+LAWS = [ReservoirSpec.fock(3), ReservoirSpec.thermal(0.7), ReservoirSpec.empirical([0.5, 0.2, 0.3])]
+
+
+class TestDerivedFacts:
+    @pytest.mark.parametrize("reservoir", LAWS, ids=lambda r: r.label)
+    def test_equal_fields_give_equal_specs(self, reservoir):
+        twin = ReservoirSpec(**init_fields(reservoir))
+        assert twin == reservoir and hash(twin) == hash(reservoir)
+        assert derived_facts(twin) == derived_facts(reservoir)
+        assert reservoir.stats is reservoir.stats  # worked out once, not on each access
+        base = dict(model="Shelving", input_n_a=2, trials=10, seed=1, gain_G=4, cavity_mode_count=3)
+        one, other = ScenarioSpec(reservoir=reservoir, **base), ScenarioSpec(reservoir=twin, **base)
+        assert one == other and hash(one) == hash(other)
+        assert derived_facts(one) == derived_facts(other) == (((1, 3),), derived_facts(reservoir))
+
+    def test_equal_values_spelled_differently_give_equal_specs(self):
+        for one, other in (
+            (ReservoirSpec.fock(3), ReservoirSpec.fock(3.0)),
+            (ReservoirSpec.thermal(1), ReservoirSpec.thermal(1.0)),
+            (ReservoirSpec.empirical([0.5, 0.5]), ReservoirSpec.empirical((0.5, 0.5))),
+        ):
+            assert one == other and hash(one) == hash(other)
+            assert derived_facts(one) == derived_facts(other)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(model="Shelving", cavity_mode_count=3),
+            dict(model="GModes", reservoir=ReservoirSpec.thermal(0.7)),
+            dict(model="Multiplexed", mode_budget=5, reservoir=ReservoirSpec.empirical([0.5, 0.2, 0.3])),
+            dict(model="MultiStepMulti", step_gain_g=2, steps_N=2),
+            dict(model="Shelving", cavity_mode_count=2, reservoir=ReservoirSpec.fock(5)),
+        ],
+    )
+    def test_replace_works_out_the_facts_again(self, changes):
+        base = ScenarioSpec(model="SingleMode", input_n_a=2, reservoir=ReservoirSpec.fock(3), trials=10, seed=1, gain_G=4)
+        changed, fresh = replace(base, **changes), ScenarioSpec(**{**init_fields(base), **changes})
+        assert changed == fresh and hash(changed) == hash(fresh)
+        assert derived_facts(changed) == derived_facts(fresh) != derived_facts(base)
+        assert analytic_variance(changed) == analytic_variance(fresh)
+
+    @pytest.mark.parametrize("reservoir", LAWS, ids=lambda r: r.label)
+    def test_replacing_a_law_works_out_its_facts_again(self, reservoir):
+        other = {"fock": dict(n=7), "thermal": dict(nbar=2.5), "empirical": dict(probs=[0.25, 0.75])}[reservoir.kind]
+        changed, fresh = replace(reservoir, **other), ReservoirSpec(reservoir.kind, **other)
+        assert changed == fresh and derived_facts(changed) == derived_facts(fresh) != derived_facts(reservoir)
+        with pytest.raises(ValueError, match="init=False"):  # a derived fact is never set from outside
+            replace(reservoir, label="fock(1)")
+
+    def test_repr_shows_the_init_fields_only(self):
+        reservoir = ReservoirSpec.thermal(0.5)
+        assert repr(reservoir) == "ReservoirSpec(kind='thermal', n=0, nbar=0.5, probs=None)"
+        spec = ScenarioSpec(model="Shelving", input_n_a=1, reservoir=reservoir, trials=10, seed=1, gain_G=4, cavity_mode_count=2)
+        assert repr(spec) == (
+            f"ScenarioSpec(model='Shelving', input_n_a=1, reservoir={reservoir!r}, trials=10, seed=1, gain_G=4, "
+            "step_gain_g=None, steps_N=None, cavity_mode_count=2, mode_budget=None)"
+        )
 
 
 class TestScenarioValidation:
